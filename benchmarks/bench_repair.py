@@ -12,13 +12,23 @@ Reported per workload:
 - ``repair_cold_s`` / ``repair_cached_s`` — the repair phase total
   (span-tree seconds, same source as ``--metrics``), best of
   ``ROUNDS`` runs each;
-- ``speedup`` — cold/cached ratio (acceptance bar: >= 1.5x on at
-  least one workload);
+- ``speedup`` — cold/cached ratio (acceptance bar: >= 1.2x on at
+  least one workload — it was 1.5x while the ``revert-to-reference``
+  verdict cost its own replay; that verdict now reuses the reference
+  replay ``prepare()`` performs, so the cold phase lost exactly the
+  kind of work the cache accelerates and both columns fell);
 - ``plans`` / ``plans_per_s`` — enumerated plans over the cached
   phase time;
 - ``identical`` — canonical-report equality across cold, cached, and
   ``workers=2`` (the repair section is part of the determinism
   contract, so the benchmark doubles as a regression check).
+
+The last row is the emulated substrate (default-scale Stanford, where
+there is no snapshot cache): one session's first ``repair()`` against
+its second, identical canonical reports required.  Its phase time is
+two packet-schedule replays plus O(Δ) footprint deltas
+(docs/repair.md, "Cost model"); the 449k-entry timing lives in the
+benchmark spine.
 
 Run as a script (writes BENCH_repair.json)::
 
@@ -33,9 +43,11 @@ import argparse
 import json
 import sys
 
+from repro.api import Session
 from repro.core.diffprov import DiffProv, DiffProvOptions
 from repro.observability import Telemetry
 from repro.scenarios import ALL_SCENARIOS
+from repro.scenarios.stanford import StanfordForwardingError
 
 # Benchmark-scale SDN workloads: more background traffic means longer
 # logs to replay per verification and a bigger probe suite to hold.
@@ -78,6 +90,57 @@ def _best_repair_seconds(name, params, replay_cache):
     return best, report
 
 
+def _row(scenario, cold_s, cached_s, section, identical):
+    plans = len(section["plans"]) + len(section["rejected"])
+    return {
+        "scenario": scenario,
+        "repair_cold_s": round(cold_s, 4),
+        "repair_cached_s": round(cached_s, 4),
+        "speedup": round(cold_s / max(cached_s, 1e-9), 2),
+        "plans": plans,
+        "verified": len(section["plans"]),
+        "probes": section["probes"],
+        "replays": section["replays"],
+        "plans_per_s": round(plans / max(cached_s, 1e-9), 1),
+        "identical": identical,
+    }
+
+
+def _stanford_row():
+    """Emulator substrate: first vs second repair() of one session."""
+    scenario = StanfordForwardingError().setup()
+    reports, totals = [], [0.0]
+    with Session(
+        program=scenario.program,
+        good=scenario.good_execution,
+        bad=scenario.bad_execution,
+        good_event=scenario.good_event,
+        bad_event=scenario.bad_event,
+        good_time=scenario.good_time,
+        bad_time=scenario.bad_time,
+        minimize=True,
+        telemetry=True,
+    ) as session:
+        for _ in range(2):
+            report = session.repair()
+            reports.append(report)
+            # Session telemetry accumulates across calls.
+            totals.append(
+                next(
+                    phase["seconds"]
+                    for phase in report.telemetry["phases"]
+                    if phase["name"] == "diffprov.repair"
+                )
+            )
+    return _row(
+        scenario.name,
+        totals[1] - totals[0],
+        totals[2] - totals[1],
+        reports[1].repair,
+        reports[0].canonical_json() == reports[1].canonical_json(),
+    )
+
+
 def run_benchmark():
     rows = []
     for name, params in WORKLOADS:
@@ -89,22 +152,10 @@ def run_benchmark():
             == cached_report.canonical_json()
             == par_report.canonical_json()
         )
-        section = cached_report.repair
-        plans = len(section["plans"]) + len(section["rejected"])
         rows.append(
-            {
-                "scenario": name,
-                "repair_cold_s": round(cold_s, 4),
-                "repair_cached_s": round(cached_s, 4),
-                "speedup": round(cold_s / max(cached_s, 1e-9), 2),
-                "plans": plans,
-                "verified": len(section["plans"]),
-                "probes": section["probes"],
-                "replays": section["replays"],
-                "plans_per_s": round(plans / max(cached_s, 1e-9), 1),
-                "identical": identical,
-            }
+            _row(name, cold_s, cached_s, cached_report.repair, identical)
         )
+    rows.append(_stanford_row())
     return rows
 
 
@@ -115,8 +166,8 @@ def check(rows):
         )
         assert row["verified"] >= 1, row
     best = max(row["speedup"] for row in rows)
-    assert best >= 1.5, (
-        f"cached repair speed-up {best}x below the 1.5x bar: {rows}"
+    assert best >= 1.2, (
+        f"cached repair speed-up {best}x below the 1.2x bar: {rows}"
     )
 
 
@@ -143,7 +194,7 @@ def main(argv=None):
         handle.write("\n")
     for row in rows:
         print(
-            f"{row['scenario']:6s} repair {row['repair_cold_s']*1000:7.1f}ms -> "
+            f"{row['scenario']:12s} repair {row['repair_cold_s']*1000:7.1f}ms -> "
             f"{row['repair_cached_s']*1000:7.1f}ms  ({row['speedup']}x, "
             f"{row['plans']} plans, {row['plans_per_s']}/s, "
             f"identical={row['identical']})"

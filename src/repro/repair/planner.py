@@ -34,7 +34,7 @@ from ..faults import FaultInjector
 from ..replay.cache import ReplayCache
 from ..replay.parallel import CandidateEvaluator
 from ..replay.replayer import Change
-from .probes import alive_state, probe_suite
+from .probes import Baseline, probe_suite
 
 __all__ = [
     "RollbackPlan",
@@ -157,9 +157,12 @@ class RollbackPlanner:
         # identical across workers × cache × resume.
         self.replays = 0
         self.evaluator_counters: Dict[str, int] = {}
+        # prepare() reduces its two replays to these; no result is kept.
         self.probes = frozenset()
-        self.reference_alive = frozenset()
-        self.mutable_base: List = []
+        self.baseline: Optional[Baseline] = None
+        self.reference_delta = frozenset()
+        self.reference_verdict: Dict[str, object] = {}
+        self.counterparts: Dict = {}
         self._prepared = False
 
     def __getstate__(self):
@@ -196,12 +199,14 @@ class RollbackPlanner:
         return self._section(plans, verdicts)
 
     def prepare(self) -> None:
-        """Build the probe suite and the reference footprint (2 replays).
+        """Build the probe suite and the state baselines (2 replays).
 
         ``pristine`` is the bad log replayed unchanged; ``reference``
         is the bad log with the full diagnosis Δ applied — the world
         the diagnosis already verified.  Both replays hit the shared
-        snapshot cache when one is attached.
+        snapshot cache when one is attached, and both are dropped on
+        return.  The reference replay doubles as the verification of the
+        ``revert-to-reference`` plan, whose steps it just applied.
         """
         if self._prepared:
             return
@@ -211,54 +216,54 @@ class RollbackPlanner:
         reference = self.bad.replay(self.changes, self.anchor_index)
         self.replays += 1
         self.probes = probe_suite(pristine, reference, self.program)
-        self.reference_alive = alive_state(reference, self.program)
-        self.mutable_base = self._mutable_base(pristine)
+        self.baseline = Baseline(pristine, self.program)
+        self.reference_delta = self.baseline.delta(reference)
+        self.reference_verdict = self._verdict(reference, self.reference_delta)
+        store = pristine.engine.store
+        self.counterparts = {
+            change.insert: self._counterparts(store, change.insert)
+            for change in self.changes
+            if change.insert is not None
+        }
         self._prepared = True
 
-    def _mutable_base(self, pristine):
-        """The pristine config surface: live mutable base tuples.
-
-        The enumeration mines it for *stale counterparts* — config
-        entries one field away from a tuple the diagnosis inserts (in
-        SDN1: the original 4.3.2.0/24 flow entry next to the inserted
-        /23 one).  Sorted by rendering for deterministic plan order.
-        """
-        store = pristine.engine.store
-        base = []
-        for name in sorted(self.program.schemas):
-            schema = self.program.schemas[name]
-            if schema.kind == TableKind.EVENT or not schema.mutable:
-                continue
-            for tup in store.tuples(name):
-                record = store.record(tup)
-                if record is not None and record.is_base:
-                    base.append(tup)
-        return sorted(base, key=str)
-
-    def _counterparts(self, insert) -> List:
+    def _counterparts(self, store, insert) -> List:
         """Live mutable base tuples exactly one field away from ``insert``.
 
         These are the entries the inserted tuple was synthesized *from*
         (condition repair changes one field at a time), i.e. the stale
-        config the fix supersedes.
+        config the fix supersedes (SDN1: the 4.3.2.0/24 entry next to
+        the inserted /23).  Such a tuple agrees with ``insert`` on
+        argument 0 or 1, so two index lookups are a complete candidate
+        set.  Sorted by rendering for deterministic plan order.
         """
-        out = []
-        for tup in self.mutable_base:
-            if (
-                tup.table != insert.table
-                or tup.arity != insert.arity
-                or tup == insert
-            ):
-                continue
-            if sum(1 for a, b in zip(tup.args, insert.args) if a != b) == 1:
-                out.append(tup)
-        return out
+        schema = self.program.schemas.get(insert.table)
+        if schema is None or schema.kind == TableKind.EVENT or not schema.mutable:
+            return []
+        if insert.arity < 2:
+            near = store.tuples(insert.table)
+        else:
+            first, second = insert.args[:2]
+            near = store.tuples_matching(insert.table, 0, first) + [
+                tup
+                for tup in store.tuples_matching(insert.table, 1, second)
+                if tup.args[0] != first
+            ]
+        out = [
+            tup
+            for tup in near
+            if tup.arity == insert.arity
+            and sum(1 for a, b in zip(tup.args, insert.args) if a != b) == 1
+            and getattr(store.record(tup), "is_base", False)
+        ]
+        return sorted(out, key=str)
 
     def enumerate(self) -> List[RollbackPlan]:
         """The deterministic candidate set, deduplicated by step key.
 
         1. Revert-to-reference: the full diagnosis Δ in discovery
-           order (always verifies; blast radius 0 by construction).
+           order (blast radius 0 by construction; rejected like any
+           other plan if the Δ does not clear the symptom — MR1-D).
         2. Single-change plans, when the diagnosis found several
            changes — maybe one alone already clears the symptom.
         3. Per modification, the insert-only narrowing (add the fixed
@@ -300,7 +305,7 @@ class RollbackPlanner:
         for change in self.changes:
             if change.insert is None:
                 continue
-            for stale in self._counterparts(change.insert):
+            for stale in self.counterparts[change.insert]:
                 reason = f"{stale} is superseded by {change.insert}"
                 add(
                     [
@@ -328,6 +333,9 @@ class RollbackPlanner:
         """
         if not self._prepared:
             self.prepare()
+        if plan.steps == self.changes:
+            # prepare() already replayed exactly this.
+            return dict(self.reference_verdict)
         try:
             replayed = self.bad.replay(plan.steps, self.anchor_index)
         except StepLimitExceeded:
@@ -341,14 +349,19 @@ class RollbackPlanner:
                 "blast_radius": -1,
                 "error": "step-limit",
             }
+        return self._verdict(replayed, self.baseline.delta(replayed))
+
+    def _verdict(self, replayed, delta) -> Dict[str, object]:
+        """Judge a replayed world by its delta against the pristine one:
+        a probe (alive there) fails iff it is in the delta, and two
+        footprints differ exactly where their deltas do."""
         symptom_gone = not replayed.graph.ever_existed(self.bad_event)
-        alive = alive_state(replayed, self.program)
-        failed = sorted(str(p) for p in self.probes if p not in alive)
+        failed = sorted(str(p) for p in self.probes & delta)
         return {
             "symptom_gone": bool(symptom_gone),
             "probes_failed": len(failed),
             "failed_probes": failed[:MAX_LISTED_PROBES],
-            "blast_radius": len(alive ^ self.reference_alive),
+            "blast_radius": len(delta ^ self.reference_delta),
         }
 
     # -- verification fan-out -------------------------------------------------

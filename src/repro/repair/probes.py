@@ -29,6 +29,7 @@ __all__ = [
     "alive_state",
     "derived_alive_state",
     "probe_suite",
+    "Baseline",
 ]
 
 
@@ -41,15 +42,30 @@ def state_tables(program) -> List[str]:
     )
 
 
-def alive_state(result, program) -> FrozenSet[Tuple]:
-    """Every live state tuple of a replayed engine, base and derived.
+def _graph_state(result, program):
+    """Live state tuples of an *emulated* result's graph, else ``None``.
 
-    This is the final-state footprint used for the blast radius: the
+    An emulated result's store views the data-plane configuration only
+    (and can ``delta`` itself against another view in O(changed
+    entries)); what the traffic derived lives in the graph, O(traffic).
+    """
+    if not hasattr(result.engine.store, "delta"):
+        return None
+    tables = set(state_tables(program))
+    return [t for t in result.graph.live_tuples() if t.table in tables]
+
+
+def alive_state(result, program) -> FrozenSet[Tuple]:
+    """Every live state tuple of a replayed world, base and derived.
+
+    This is the *definition* of the final-state footprint: the
     symmetric difference of two footprints counts how far apart two
-    post-fix worlds ended up.
+    post-fix worlds ended up.  The planner works on
+    :meth:`Baseline.delta`, which falls back to it on engine stores;
+    the tests use it as their oracle.
     """
     store = result.engine.store
-    alive = set()
+    alive = set(_graph_state(result, program) or ())
     for table in state_tables(program):
         alive.update(store.tuples(table))
     return frozenset(alive)
@@ -58,13 +74,13 @@ def alive_state(result, program) -> FrozenSet[Tuple]:
 def derived_alive_state(result, program) -> FrozenSet[Tuple]:
     """Live *derived* state tuples only — the observable behaviour."""
     store = result.engine.store
-    derived = set()
-    for table in state_tables(program):
-        for tup in store.tuples(table):
-            record = store.record(tup)
-            if record is not None and not record.is_base:
-                derived.add(tup)
-    return frozenset(derived)
+    live = _graph_state(result, program)
+    if live is None:
+        live = alive_state(result, program)
+    return frozenset(
+        tup for tup in live
+        if not getattr(store.record(tup), "is_base", False)
+    )
 
 
 def probe_suite(pristine, reference, program) -> FrozenSet[Tuple]:
@@ -80,3 +96,30 @@ def probe_suite(pristine, reference, program) -> FrozenSet[Tuple]:
     return derived_alive_state(pristine, program) & derived_alive_state(
         reference, program
     )
+
+
+class Baseline:
+    """The pristine world P, reduced to what ``δ(R) = alive(R) △ P`` needs.
+
+    Verification is exact on deltas alone: a probe (⊆ P) fails iff it is
+    in δ(plan), and the blast radius is ``|δ(plan) △ δ(reference)|``.
+    For engine results P is :func:`alive_state`, computed once per
+    planner.  For emulated results it is the pristine configuration
+    view (an O(switches) fork) plus the O(traffic) derived half, so
+    nothing scans the configuration.  Holds tuples and that view only —
+    never an engine, recorder or graph.
+    """
+
+    def __init__(self, pristine, program):
+        self.program = program
+        store = pristine.engine.store
+        self.config = store if hasattr(store, "delta") else None
+        footprint = alive_state if self.config is None else derived_alive_state
+        self.alive = footprint(pristine, program)
+
+    def delta(self, result) -> FrozenSet[Tuple]:
+        """``alive(result) △ P`` without materializing what they share."""
+        if self.config is None:
+            return alive_state(result, self.program) ^ self.alive
+        derived = derived_alive_state(result, self.program) ^ self.alive
+        return derived | result.engine.store.delta(self.config)

@@ -119,6 +119,14 @@ class NetworkConfig:
         copy._group_tuples = set(self._group_tuples)
         return copy
 
+    def delta(self, other: "NetworkConfig") -> Set[Tuple]:
+        """Tuples installed in exactly one of two configurations of one
+        topology — O(changed entries) between forks of the same base."""
+        changed = self._group_tuples ^ other._group_tuples
+        for switch, table in self.tables.items():
+            changed |= table.delta(other.tables[switch])
+        return changed
+
     def has_tuple(self, tup: Tuple) -> bool:
         """O(1) membership for installable (flow/group) tuples."""
         if tup.table == "flowEntry":
@@ -529,6 +537,10 @@ class _ConfigStoreView:
                     projection.setdefault(tup.args[position], []).append(tup)
             self._projections[(table, position)] = projection
         return list(projection.get(value, ()))
+
+    def delta(self, other: "_ConfigStoreView") -> Set[Tuple]:
+        """Tuples live in exactly one of two views (the wiring is shared)."""
+        return self.config.delta(other.config)
 
     def contains(self, tup: Tuple) -> bool:
         if tup.table in ("flowEntry", "groupEntry"):

@@ -11,7 +11,7 @@ prefix specificity, then by a stable tuple order.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Set
 
 from ..addresses import IPv4Address, Prefix
 from ..datalog.state import sort_key
@@ -145,6 +145,19 @@ class FlowTable:
 
     def entries(self) -> List[Tuple]:
         return sorted(self._iter_entries(), key=sort_key)
+
+    def delta(self, other: "FlowTable") -> Set[Tuple]:
+        """Entries installed in exactly one of the two tables.
+
+        Forks of one base differ only in their overlays (local entries
+        are never parent entries, masks always are): O(changed entries).
+        Unrelated tables are compared entry by entry.
+        """
+        if self._base is not None and self._base is other._base:
+            return (self._entries ^ other._entries) | (
+                self._removed ^ other._removed
+            )
+        return set(self._iter_entries()) ^ set(other._iter_entries())
 
     def install(self, entry: Tuple) -> None:
         """Install a ``flowEntry`` tuple (as built by repro.sdn.model)."""

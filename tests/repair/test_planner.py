@@ -128,7 +128,7 @@ class TestPlanModel:
             tup = report.changes[0].insert
             planner = _planner(session, report)
             planner.prepare()
-            (stale,) = planner._counterparts(tup)
+            (stale,) = planner.counterparts[tup]
         replace = RollbackPlan(
             [Change(insert=tup, remove=(stale,))], "replace-stale"
         )
@@ -184,12 +184,11 @@ class TestPlannerDirectly:
             report = session.diagnose()
             planner = _planner(session, report)
             planner.prepare()
+            store = session.bad.replay().engine.store
             catch_all = [
                 tup
-                for tup in planner.mutable_base
-                if tup.table == "flowEntry"
-                and tup.args[0] == "s2"
-                and tup.args[1] == 1
+                for tup in store.tuples_matching("flowEntry", 0, "s2")
+                if tup.args[1] == 1
             ]
             assert catch_all, "SDN1 should have the priority-1 fallback"
             plan = RollbackPlan(
