@@ -14,9 +14,8 @@ As a script the flags are explicit::
     PYTHONPATH=src python benchmarks/bench_stanford.py --full-scale --engine compiled
 
 The full-scale run is only practical with the compiled backend (the
-default): the indexed/reference engines copy the 757k-entry
-configuration per candidate replay, the compiled one forks it
-copy-on-write.
+default): the reference oracle copies the 757k-entry configuration
+per candidate replay, the compiled one forks it copy-on-write.
 """
 
 import argparse
@@ -24,6 +23,7 @@ import os
 import sys
 import time
 
+from repro.datalog import BACKENDS
 from repro.scenarios.stanford import StanfordForwardingError
 
 FULL_SCALE = bool(os.environ.get("STANFORD_FULL_SCALE"))
@@ -75,7 +75,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--engine", default=None,
-        choices=("compiled", "indexed", "reference"),
+        choices=BACKENDS,
         help="evaluation backend (default: compiled)",
     )
     parser.add_argument(

@@ -31,13 +31,9 @@ The stable programmatic entry point is :class:`repro.api.Session`
                       good_event=good, bad_event=bad)
     report = session.diagnose()
 
-The algorithm classes remain available from their canonical submodule
-(``from repro.core import DiffProv, DiffProvOptions``); importing them
-from the package top level still works but is deprecated in favour of
-the facade (docs/api.md).
+The algorithm classes live in their canonical submodule
+(``from repro.core import DiffProv, DiffProvOptions``).
 """
-
-import warnings as _warnings
 
 from .addresses import IPv4Address, Prefix, ip, prefix
 from .core import DiagnosisReport
@@ -84,38 +80,12 @@ from .api import Session
 
 __version__ = "1.0.0"
 
-# Names still accepted at the top level but deprecated in favour of the
-# Session facade; each maps to its canonical submodule home, which stays
-# warning-free.
-_DEPRECATED_TOP_LEVEL = {
-    "DiffProv": "repro.core",
-    "DiffProvOptions": "repro.core",
-}
-
-
-def __getattr__(name):
-    home = _DEPRECATED_TOP_LEVEL.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _warnings.warn(
-        f"importing {name} from the package top level is deprecated; "
-        f"use repro.api.Session, or import {name} from {home} "
-        f"(see docs/api.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(home), name)
-
 __all__ = [
     "Session",
     "IPv4Address",
     "Prefix",
     "ip",
     "prefix",
-    "DiffProv",  # deprecated at this level; canonical home is repro.core
-    "DiffProvOptions",  # deprecated at this level; canonical home is repro.core
     "DiagnosisReport",
     "Engine",
     "EngineConfig",

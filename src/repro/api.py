@@ -75,11 +75,11 @@ class Session:
         ``telemetry``.
     ``engine``
         An :class:`repro.EngineConfig`, a backend name string
-        (``"compiled"``, ``"indexed"``, ``"reference"``), or a mapping
-        with ``backend``/``provenance`` keys.  Selects the evaluation
-        backend for both executions; every mode produces byte-identical
-        reports (docs/performance.md).  ``None`` keeps each execution's
-        own config (the compiled default).
+        (``"compiled"`` — the fast path — or ``"reference"`` — the
+        oracle), or its ``{"backend": ...}`` wire mapping.  Selects the
+        evaluation backend for both executions; both produce
+        byte-identical reports (docs/performance.md).  ``None`` keeps
+        each execution's own config (the compiled default).
     ``workers``
         Process-pool width for candidate replays; 1 = serial.
     ``replay_cache``

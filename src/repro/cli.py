@@ -34,7 +34,7 @@ from typing import List, Optional
 
 from . import survey as survey_module
 from .api import Session
-from .datalog.config import BACKENDS, PROVENANCE_MODES
+from .datalog.config import BACKENDS
 from .errors import FaultSpecError
 from .observability import format_metrics
 from .scenarios import ALL_SCENARIOS
@@ -86,15 +86,9 @@ def _tuning_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--engine",
         choices=BACKENDS,
-        help="evaluation backend: compiled (the default), indexed, or "
-        "the linear-scan reference; reports are byte-identical across "
-        "backends (see docs/performance.md)",
-    )
-    parent.add_argument(
-        "--provenance",
-        choices=PROVENANCE_MODES,
-        help="provenance recording mode (default: the chosen backend's "
-        "natural mode — annotated/lazy/eager respectively)",
+        help="evaluation backend: compiled (the default fast path) or "
+        "reference (the linear-scan oracle the tests compare against); "
+        "reports are byte-identical (see docs/performance.md)",
     )
     parent.add_argument(
         "--workers",
@@ -274,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=BACKENDS,
         help="evaluation backend (default compiled)",
     )
-    stanford.add_argument(
-        "--provenance", choices=PROVENANCE_MODES,
-        help="provenance recording mode (default: backend's natural mode)",
-    )
 
     serve = commands.add_parser(
         "serve",
@@ -323,11 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=BACKENDS,
         help="engine backend applied to requests that do not carry an "
         "'engine' option (default: the package's compiled default)",
-    )
-    serve.add_argument(
-        "--provenance", choices=PROVENANCE_MODES,
-        help="provenance mode paired with --engine for requests "
-        "without an 'engine' option",
     )
     serve.add_argument(
         "--drain-timeout-s", type=float, default=60.0,
@@ -414,20 +399,6 @@ def _cmd_scenarios(args) -> int:
     return _emit(args, rows, text)
 
 
-def _engine_spec(args):
-    """--engine/--provenance as an EngineConfig-coercible mapping."""
-    backend = getattr(args, "engine", None)
-    provenance = getattr(args, "provenance", None)
-    if backend is None and provenance is None:
-        return None
-    spec = {}
-    if backend is not None:
-        spec["backend"] = backend
-    if provenance is not None:
-        spec["provenance"] = provenance
-    return spec
-
-
 def _coerce_param_value(value: str):
     """``--param`` value coercion: bool, int, float, then str.
 
@@ -469,7 +440,7 @@ def _session(args, **extra) -> Session:
     return Session(
         scenario=args.scenario,
         faults=getattr(args, "faults", None),
-        engine=_engine_spec(args),
+        engine=getattr(args, "engine", None),
         telemetry=bool(
             getattr(args, "metrics", False) or getattr(args, "trace_out", None)
         ),
@@ -835,13 +806,9 @@ def _cmd_unsuitable(args) -> int:
 def _cmd_stanford(args) -> int:
     from .scenarios.stanford import StanfordForwardingError
 
-    params = {}
-    engine = _engine_spec(args)
-    if engine is not None:
-        params["engine"] = engine
     scenario = StanfordForwardingError(
         full_scale=args.full_scale, background_packets=args.background,
-        **params,
+        engine=args.engine,
     )
     report = scenario.diagnose()
     good, bad = scenario.trees()
@@ -903,7 +870,7 @@ def _cmd_serve(args) -> int:
             journal_dir=args.journal_dir,
             keep_journals=args.keep_journals,
             default_deadline_s=args.default_deadline_s,
-            default_engine=_engine_spec(args),
+            default_engine=args.engine,
             drain_timeout_s=args.drain_timeout_s,
             flight_capacity=args.flight_capacity,
             slo_objective=args.slo_objective,

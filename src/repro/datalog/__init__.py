@@ -9,8 +9,8 @@ The public entry points are:
 
 - :func:`repro.datalog.parser.parse_program` — parse NDlog text;
 - :class:`repro.datalog.engine.Engine` — run a program;
-- :class:`repro.datalog.config.EngineConfig` — backend/provenance
-  selection (compiled / indexed / reference);
+- :class:`repro.datalog.config.EngineConfig` — backend selection
+  (compiled fast path / reference oracle);
 - :class:`repro.datalog.tuples.Tuple` — the value model.
 """
 

@@ -1,38 +1,40 @@
-"""Per-(rule, trigger) compiled join closures for the columnar backend.
+"""Per-(rule, trigger) compiled join closures for the compiled backend.
 
-The interpreted join (:meth:`Engine._bindings`) pays real interpretive
+The reference join (:meth:`Engine._bindings`) pays real interpretive
 overhead per candidate tuple: a fresh environment dict, fresh
 assignment/condition work lists, a generic ``_match_atom`` walk that
 re-discovers per candidate what is statically known per rule, and a
-``_settle`` fixpoint that re-scans those lists.  This module performs
-that discovery once per ``(rule, trigger_index)`` pair and emits a
-specialized plan:
+``_settle`` fixpoint that re-scans those lists — over a linear scan of
+the whole table.  This module performs that discovery once per
+``(rule, trigger_index)`` pair and emits a specialized plan:
 
 - **match ops** per body atom — ``bind``/``check_var``/``check_const``/
   ``expr`` opcodes over argument positions, with positions already
   guaranteed by an index probe skipped entirely;
 - **settle ops** — the exact, statically-determined sequence of
   assignment and condition evaluations the interpreted fixpoint would
-  perform at each join step (licensed by ``_settle_static``: the static
-  bound set equals the runtime environment's key set at every step);
+  perform at each join step (the runtime settle consumes assignments
+  under the same availability test, so the static bound set equals the
+  runtime environment's key set at every step);
 - **access closures** — one composite-index probe or full-scan closure
-  per atom, bumping the same ``engine.index.hits``/``misses`` counters
-  the interpreted path does.
+  per atom, metered as ``engine.index.hits``/``misses``;
+- **selector keys** — for an ``argmax<...>`` atom, the key expressions
+  evaluated per matching candidate to keep only the best one.
 
 Execution uses one mutable environment with an undo trail instead of a
 dict copy per candidate.  Bind order follows the interpreted path's
 insertion order exactly, so every yielded binding — and therefore every
 derivation, provenance event, and report downstream — is byte-identical
-to the interpreted evaluators (locked by
-``tests/datalog/test_index_equivalence.py``).
+to the reference evaluator (locked by
+``tests/datalog/test_index_equivalence.py`` and
+``tests/property/test_prop_selector.py``).
 
-Rules the compiler does not cover return ``None`` from
-:func:`compile_rule` and fall back to the interpreted join on the same
-store: aggregate rules (fired through the barrier path anyway), rules
-with argmax selectors on non-trigger atoms (selector semantics need
-per-candidate environments), and rules whose final settle would leave
-unbound leftovers (the interpreted path's error semantics are
-preserved by not short-circuiting them).
+The one deliberate interpreter seam: a rule whose final settle would
+leave unbound leftovers gets ``None`` from :func:`compile_rule` and
+runs through the reference join on the same store, so the
+``EvaluationError`` is raised by exactly one code path.  (Aggregate
+rules never reach the compiler — ``Program.triggers`` skips them; they
+fire through the barrier path.)
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from typing import Dict, List, Optional, Tuple as PyTuple
 from ..errors import EvaluationError
 from .expr import Const, Expr, Var
 from .rules import Rule
+from .state import sort_key
 from .tuples import Tuple
 
 __all__ = ["CompiledRule", "compile_rule"]
@@ -76,8 +79,9 @@ class CompiledRule:
         self.trigger_arity = trigger_arity
         self.trigger_match = trigger_match
         self.trigger_settle = trigger_settle
-        # steps: one (atom_index, arity, access, match_ops, settle_ops)
-        # per non-trigger body atom, in ascending body order.
+        # steps: one (atom_index, arity, access, match_ops, settle_ops,
+        # selector_keys) per non-trigger body atom, in ascending body
+        # order; selector_keys is None for atoms without an argmax.
         self.steps = steps
 
     def bindings(self, engine, delta: Tuple):
@@ -103,9 +107,16 @@ class CompiledRule:
         if depth == len(self.steps):
             yield env, tuple(slots)
             return
-        atom_index, arity, access, match_ops, settle_ops = self.steps[depth]
+        atom_index, arity, access, match_ops, settle_ops, keys = self.steps[
+            depth
+        ]
         mark = len(trail)
-        for candidate in access(engine, env):
+        candidates = access(engine, env)
+        if keys is not None:
+            candidates = _argmax(
+                candidates, arity, match_ops, settle_ops, keys, env, trail
+            )
+        for candidate in candidates:
             if (
                 candidate.arity == arity
                 and _run_match(match_ops, candidate.args, env, trail)
@@ -116,6 +127,30 @@ class CompiledRule:
                 slots[atom_index] = None
             while len(trail) > mark:
                 del env[trail.pop()]
+
+
+def _argmax(candidates, arity, match_ops, settle_ops, keys, env, trail):
+    """The selector step: the single best matching candidate, if any.
+
+    Same semantics as ``Engine._candidates``: among candidates that
+    match and settle, keep the maximum of ``(keys, sort_key)`` with the
+    keys evaluated in that candidate's own environment; the earliest
+    wins an exact tie, like ``max``.  The caller re-matches the winner.
+    """
+    mark = len(trail)
+    best = best_key = None
+    for candidate in candidates:
+        if (
+            candidate.arity == arity
+            and _run_match(match_ops, candidate.args, env, trail)
+            and _run_settle(settle_ops, env, trail)
+        ):
+            key = (tuple(k.evaluate(env) for k in keys), sort_key(candidate))
+            if best is None or key > best_key:
+                best, best_key = candidate, key
+        while len(trail) > mark:
+            del env[trail.pop()]
+    return () if best is None else (best,)
 
 
 def _run_match(ops, args, env, trail) -> bool:
@@ -177,20 +212,11 @@ def compile_rule(
 ) -> Optional[CompiledRule]:
     """Compile one (rule, trigger) firing; ``None`` means fall back.
 
-    Mirrors ``_build_plan``'s static walk — trigger binds, assignments
-    settle, remaining atoms visited in ascending order — while also
-    emitting the ordered settle sequence and registering the same
-    composite indexes on the engine's store.
+    A static walk of the runtime join — trigger binds, assignments
+    settle, remaining atoms visited in ascending order — emitting the
+    ordered settle sequence and registering one composite index per
+    atom with a bound position on the engine's store.
     """
-    if rule.is_aggregate:
-        return None
-    if any(
-        atom.selector is not None
-        for index, atom in enumerate(rule.body)
-        if index != trigger_index
-    ):
-        return None
-
     bound: set = set()
     assigns = list(rule.assignments)
     conds = list(rule.conditions)
@@ -227,6 +253,7 @@ def compile_rule(
                 _make_access(atom.table, spec),
                 match_ops,
                 settle_ops,
+                None if atom.selector is None else tuple(atom.selector.keys),
             )
         )
 

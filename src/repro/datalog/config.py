@@ -1,74 +1,46 @@
-"""Unified evaluation-mode configuration for the Datalog engine.
+"""Evaluation-mode selection for the Datalog engine: one fast path, one oracle.
 
-The evaluation-mode surface used to be two positional booleans
-(``use_indexes=`` and ``lazy=``) threaded through :func:`repro.replay.replay`,
-:class:`repro.replay.Execution`, :class:`repro.datalog.Engine` and the
-``Session`` facade.  With a third backend (the compiled columnar
-evaluator) that encoding stops scaling, so the knobs are unified into
-one frozen, validated :class:`EngineConfig`:
+:class:`EngineConfig` is a single two-valued choice:
 
-- ``backend`` selects the join evaluator:
+- ``"compiled"`` (the default) — per-rule compiled join closures
+  (:mod:`repro.datalog.compiled`) over the indexed
+  :class:`repro.datalog.columnar.ColumnarStore`, with the ``annotated``
+  provenance recorder (lazy arena recording plus per-tuple proof-height
+  annotations) and copy-on-write ``fork()`` on the SDN emulator.  This
+  is the path every workload runs.
+- ``"reference"`` — the interpreted linear-scan join over the plain
+  :class:`repro.datalog.state.Store`, with the ``eager`` seven-vertex
+  recorder and ``clone()`` + linear-scan lookups on the emulator.  It
+  exists so the equivalence tests have an oracle that shares no index,
+  bisection or compilation code with the path it checks; it is not a
+  performance option.
 
-  - ``"compiled"`` — columnar relation storage
-    (:class:`repro.datalog.columnar.ColumnarStore`) plus per-rule
-    compiled join closures (:mod:`repro.datalog.compiled`), the
-    default and fastest mode;
-  - ``"indexed"`` — the interpreted join with composite secondary
-    indexes (the pre-compiled fast path);
-  - ``"reference"`` — linear scans over sorted tables, the slow
-    reference evaluator the equivalence tests compare against.
-
-- ``provenance`` selects the recorder's graph mode:
-
-  - ``"annotated"`` — lazy arena recording plus per-tuple
-    min-height/first-derivation annotations from which minimal proof
-    trees are reconstructed without materializing the graph (default);
-  - ``"lazy"`` — lazy arena recording only;
-  - ``"eager"`` — classic eager seven-vertex graph construction.
-
-Every combination produces byte-identical tables, graphs, trees and
-reports — backends change cost, never results (see
-``tests/datalog/test_index_equivalence.py``).
-
-The old boolean knobs remain accepted everywhere as deprecated shims;
-:meth:`EngineConfig.resolve` performs the mapping and emits the
-:class:`DeprecationWarning`.
+Both produce byte-identical tables, graphs, trees and reports — the
+choice changes cost, never results (see
+``tests/datalog/test_index_equivalence.py``).  The provenance mode is
+derived from the backend, not chosen: ``describe()`` and ``to_dict()``
+still spell it out because the replay-cache key and the service's
+server→worker wire form carry both fields.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 __all__ = ["EngineConfig", "BACKENDS", "PROVENANCE_MODES"]
 
-BACKENDS = ("compiled", "indexed", "reference")
-PROVENANCE_MODES = ("annotated", "lazy", "eager")
+BACKENDS = ("compiled", "reference")
+PROVENANCE_MODES = ("annotated", "eager")
 
-# The provenance mode each backend pairs with when only a backend name
-# is given (e.g. ``--engine reference`` on the CLI): the reference
-# evaluator keeps the reference recorder, the fast backends keep their
-# matching fast recorders.
-_NATURAL_PROVENANCE = {
-    "compiled": "annotated",
-    "indexed": "lazy",
-    "reference": "eager",
-}
-
-_DEPRECATION = (
-    "the use_indexes=/lazy= booleans are deprecated; pass "
-    "engine=EngineConfig(backend=..., provenance=...) "
-    "(or a backend name) instead"
-)
+_PROVENANCE_OF = {"compiled": "annotated", "reference": "eager"}
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Validated, immutable selection of evaluation backend + provenance."""
+    """Validated, immutable selection of the evaluation backend."""
 
     backend: str = "compiled"
-    provenance: str = "annotated"
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
@@ -76,35 +48,11 @@ class EngineConfig:
                 f"unknown engine backend {self.backend!r}; "
                 f"expected one of {', '.join(BACKENDS)}"
             )
-        if self.provenance not in PROVENANCE_MODES:
-            raise ValueError(
-                f"unknown provenance mode {self.provenance!r}; "
-                f"expected one of {', '.join(PROVENANCE_MODES)}"
-            )
-
-    # -- legacy bridge --------------------------------------------------------
 
     @property
-    def use_indexes(self) -> bool:
-        """Legacy view: everything but the reference backend indexes."""
-        return self.backend != "reference"
-
-    @property
-    def lazy(self) -> bool:
-        """Legacy view: everything but eager records lazily."""
-        return self.provenance != "eager"
-
-    @classmethod
-    def from_legacy(
-        cls, use_indexes: bool = True, lazy: bool = True
-    ) -> "EngineConfig":
-        """Map the old boolean knobs onto the modes they used to mean."""
-        return cls(
-            backend="indexed" if use_indexes else "reference",
-            provenance="lazy" if lazy else "eager",
-        )
-
-    # -- construction ---------------------------------------------------------
+    def provenance(self) -> str:
+        """The recorder mode this backend runs with (derived)."""
+        return _PROVENANCE_OF[self.backend]
 
     @classmethod
     def coerce(
@@ -112,22 +60,17 @@ class EngineConfig:
     ) -> "EngineConfig":
         """Accept the shapes user-facing layers see.
 
-        ``None`` means the default, a backend name selects that backend
-        with its natural provenance mode, and a mapping (the service
-        protocol's ``engine`` option block) is validated field by
-        field.  Raises :class:`ValueError` on anything else.
+        ``None`` means the default, a string is a backend name, and a
+        mapping is the wire form ``{"backend"[, "provenance"]}`` — a
+        ``provenance`` field is accepted only when it is the backend's
+        own mode.  Raises :class:`ValueError` on anything else.
         """
         if value is None:
             return cls()
         if isinstance(value, cls):
             return value
         if isinstance(value, str):
-            if value not in BACKENDS:
-                raise ValueError(
-                    f"unknown engine backend {value!r}; "
-                    f"expected one of {', '.join(BACKENDS)}"
-                )
-            return cls(backend=value, provenance=_NATURAL_PROVENANCE[value])
+            return cls(backend=value)
         if isinstance(value, Mapping):
             unknown = set(value) - {"backend", "provenance"}
             if unknown:
@@ -136,58 +79,19 @@ class EngineConfig:
                     f"{', '.join(sorted(map(repr, unknown)))}; "
                     f"expected backend/provenance"
                 )
-            backend = value.get("backend", cls.backend)
-            if not isinstance(backend, str) or backend not in BACKENDS:
+            config = cls(backend=value.get("backend", cls.backend))
+            provenance = value.get("provenance", config.provenance)
+            if provenance != config.provenance:
                 raise ValueError(
-                    f"unknown engine backend {backend!r}; "
-                    f"expected one of {', '.join(BACKENDS)}"
+                    f"provenance mode {provenance!r} does not belong to "
+                    f"backend {config.backend!r}; expected "
+                    f"{config.provenance!r} (or omit the field)"
                 )
-            provenance = value.get(
-                "provenance", _NATURAL_PROVENANCE[backend]
-            )
-            if (
-                not isinstance(provenance, str)
-                or provenance not in PROVENANCE_MODES
-            ):
-                raise ValueError(
-                    f"unknown provenance mode {provenance!r}; "
-                    f"expected one of {', '.join(PROVENANCE_MODES)}"
-                )
-            return cls(backend=backend, provenance=provenance)
+            return config
         raise ValueError(
             f"cannot interpret {value!r} as an EngineConfig; pass an "
             f"EngineConfig, a backend name, or a backend/provenance mapping"
         )
-
-    @classmethod
-    def resolve(
-        cls,
-        engine: Union[None, "EngineConfig", str, Mapping] = None,
-        use_indexes: Optional[bool] = None,
-        lazy: Optional[bool] = None,
-        stacklevel: int = 3,
-    ) -> "EngineConfig":
-        """One resolution path for every layer that accepts both APIs.
-
-        The deprecated booleans win over ``engine`` only in the sense
-        that passing either of them is an error when ``engine`` is also
-        given — mixing the two APIs has no sensible meaning.
-        """
-        if use_indexes is not None or lazy is not None:
-            if engine is not None:
-                raise ValueError(
-                    "pass either engine= or the deprecated "
-                    "use_indexes=/lazy= booleans, not both"
-                )
-            warnings.warn(_DEPRECATION, DeprecationWarning,
-                          stacklevel=stacklevel)
-            return cls.from_legacy(
-                use_indexes=True if use_indexes is None else use_indexes,
-                lazy=True if lazy is None else lazy,
-            )
-        return cls.coerce(engine)
-
-    # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
         """The wire form used by the service protocol's option block."""

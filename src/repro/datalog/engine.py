@@ -46,21 +46,17 @@ class Engine:
         faults=None,
         step_limit: Optional[int] = None,
         telemetry=None,
-        use_indexes: Optional[bool] = None,
         config: Optional[EngineConfig] = None,
     ):
         self.program = program
         self.recorder = recorder
         # Backend selection (see repro.datalog.config): "compiled" runs
-        # per-rule closures over a columnar store, "indexed" is the
-        # interpreted join with composite indexes, and "reference" is
-        # the linear-scan mode that exists to *prove* the fast paths
-        # change cost, not results
-        # (see tests/datalog/test_index_equivalence.py).  The old
-        # use_indexes= boolean is a deprecated shim resolved here.
-        self.config = EngineConfig.resolve(config, use_indexes=use_indexes)
+        # per-rule closures over the indexed ColumnarStore; "reference"
+        # is the interpreted linear-scan join over the plain Store, the
+        # oracle that *proves* the fast path changes cost, not results
+        # (see tests/datalog/test_index_equivalence.py).
+        self.config = EngineConfig.coerce(config)
         self._backend = self.config.backend
-        self._use_indexes = self.config.use_indexes
         # Optional FaultInjector applied to cross-node message delivery
         # (drop/duplicate/reorder/delay); None means perfect links.
         self.faults = faults
@@ -90,15 +86,12 @@ class Engine:
         # join equality usually short-circuits on identity and hashes /
         # sort keys are computed once per distinct fact.
         self._tuples = TupleStore()
-        # Static join plans, keyed by (rule name, trigger index) —
-        # rule names are unique per program (Program._validate), so the
-        # key survives pickling.  Built lazily on first firing; each
-        # plan maps a body-atom index to the bound-position index spec
-        # that serves it (see _build_plan).
-        self._join_plan: Dict[PyTuple[str, int], dict] = {}
-        # Compiled join closures (backend="compiled"), same key space as
-        # _join_plan; None marks a firing the compiler does not cover
-        # (it falls back to the interpreted join on the same store).
+        # Compiled join closures (backend="compiled"), keyed by (rule
+        # name, trigger index) — rule names are unique per program
+        # (Program._validate).  Built lazily on first firing.  None
+        # marks the one firing shape the compiler leaves to the
+        # interpreter: a rule whose final settle would leave unbound
+        # leftovers, so the EvaluationError is raised by one code path.
         self._compiled_plans: Dict[PyTuple[str, int], object] = {}
         self._located_tables = self._find_located_tables()
         self._validate_event_usage()
@@ -115,46 +108,16 @@ class Engine:
         # Deadlines hold a live clock callable and are parent-local;
         # workers are bounded by the evaluator's pool timeouts instead.
         state["deadline"] = None
-        # The interning pool and join plans are pure caches: dropping
-        # them keeps snapshots small, and they repopulate on first use
-        # after a restore.  Correctness never depends on two equal
-        # tuples being the same object (pickle's memo already preserves
-        # identity within one payload).
+        # The interning pool is a pure cache: dropping it keeps
+        # snapshots small, and it repopulates on first use after a
+        # restore.  Correctness never depends on two equal tuples being
+        # the same object (pickle's memo already preserves identity
+        # within one payload).
         state["_tuples"] = TupleStore()
-        state["_join_plan"] = {}
         # Compiled closures capture store/telemetry access and are not
-        # picklable; like the join plans they rebuild on first firing.
+        # picklable; they rebuild on first firing.
         state["_compiled_plans"] = {}
         return state
-
-    # -- deprecated legacy knob ----------------------------------------------
-
-    @property
-    def use_indexes(self) -> bool:
-        import warnings
-
-        warnings.warn(
-            "Engine.use_indexes is deprecated; read engine.config instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.config.use_indexes
-
-    @use_indexes.setter
-    def use_indexes(self, value: bool) -> None:
-        import warnings
-
-        warnings.warn(
-            "Engine.use_indexes is deprecated; pass "
-            "config=EngineConfig(...) at construction instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.config = EngineConfig.from_legacy(
-            use_indexes=value, lazy=self.config.lazy
-        )
-        self._backend = self.config.backend
-        self._use_indexes = self.config.use_indexes
 
     # -- public API ----------------------------------------------------------
 
@@ -467,8 +430,8 @@ class Engine:
     def _bindings_for(
         self, rule: Rule, trigger_index: int, delta: Tuple
     ) -> Iterator[PyTuple[Dict[str, object], PyTuple]]:
-        """Backend dispatch: compiled closure when available, else the
-        interpreted join.  Both yield byte-identical bindings."""
+        """Backend dispatch: compiled closure, else the reference join.
+        Both yield byte-identical bindings."""
         if self._backend == "compiled":
             key = (rule.name, trigger_index)
             plan = self._compiled_plans.get(key, _UNCOMPILED)
@@ -484,8 +447,9 @@ class Engine:
     ) -> Iterator[PyTuple[Dict[str, object], PyTuple]]:
         """All complete bindings of ``rule`` with ``delta`` at the trigger.
 
-        Yields ``(env, body_tuples)`` pairs in deterministic order; body
-        tuples are ordered to match ``rule.body``.
+        The reference join: every non-trigger atom is a linear scan of
+        its table.  Yields ``(env, body_tuples)`` pairs in deterministic
+        order; body tuples are ordered to match ``rule.body``.
         """
         env: Dict[str, object] = {}
         if not _match_atom(rule.body[trigger_index], delta, env):
@@ -494,15 +458,14 @@ class Engine:
         pending_conds = list(rule.conditions)
         if not self._settle(env, pending_assigns, pending_conds):
             return
-        plan = self._plan_for(rule, trigger_index) if self._use_indexes else None
         remaining = [i for i in range(len(rule.body)) if i != trigger_index]
         slots: List[Optional[Tuple]] = [None] * len(rule.body)
         slots[trigger_index] = delta
         yield from self._extend(
-            rule, remaining, slots, env, pending_assigns, pending_conds, plan
+            rule, remaining, slots, env, pending_assigns, pending_conds
         )
 
-    def _extend(self, rule, remaining, slots, env, assigns, conds, plan):
+    def _extend(self, rule, remaining, slots, env, assigns, conds):
         if not remaining:
             if assigns or conds:
                 env = dict(env)
@@ -511,81 +474,22 @@ class Engine:
             yield env, tuple(slots)
             return
         index = remaining[0]
-        atom = rule.body[index]
-        spec = plan.get(index) if plan is not None else None
-        candidates = self._candidates(atom, env, assigns, conds, spec)
+        candidates = self._candidates(rule.body[index], env, assigns, conds)
         for candidate, new_env, new_assigns, new_conds in candidates:
             slots[index] = candidate
             yield from self._extend(
-                rule, remaining[1:], slots, new_env, new_assigns, new_conds, plan
+                rule, remaining[1:], slots, new_env, new_assigns, new_conds
             )
             slots[index] = None
 
-    # -- join planning -----------------------------------------------------------
-
-    def _plan_for(self, rule: Rule, trigger_index: int) -> dict:
-        key = (rule.name, trigger_index)
-        plan = self._join_plan.get(key)
-        if plan is None:
-            plan = self._build_plan(rule, trigger_index)
-            self._join_plan[key] = plan
-        return plan
-
-    def _build_plan(self, rule: Rule, trigger_index: int) -> dict:
-        """Index specs for each non-trigger body atom of a rule firing.
-
-        Mirrors the runtime join exactly: the trigger atom binds its
-        variables, assignments settle to a fixpoint, then the remaining
-        atoms are visited in ascending body order, each contributing its
-        variables.  A body atom's spec is the set of argument positions
-        holding a constant or an already-bound variable — precisely the
-        positions the runtime environment can supply values for — so
-        the store can serve candidates from one composite equality
-        index instead of scanning the table.  ``None`` means nothing is
-        bound and the atom needs a full scan.
-        """
-        bound = {
-            arg.name
-            for arg in rule.body[trigger_index].args
-            if isinstance(arg, Var)
-        }
-        assigns = list(rule.assignments)
-        _settle_static(bound, assigns)
-        plan: Dict[int, Optional[PyTuple]] = {}
-        for index, atom in enumerate(rule.body):
-            if index == trigger_index:
-                continue
-            positions = []
-            args = []
-            for position, arg in enumerate(atom.args):
-                if isinstance(arg, Const) or (
-                    isinstance(arg, Var) and arg.name in bound
-                ):
-                    positions.append(position)
-                    args.append(arg)
-            if positions:
-                spec = (tuple(positions), tuple(args))
-                self.store.register_index(atom.table, spec[0])
-            else:
-                spec = None
-            plan[index] = spec
-            bound.update(
-                arg.name for arg in atom.args if isinstance(arg, Var)
-            )
-            _settle_static(bound, assigns)
-        return plan
-
-    def _candidates(self, atom: Atom, env, assigns, conds, spec=None):
+    def _candidates(self, atom: Atom, env, assigns, conds):
         """Matching stored tuples for a body atom, selector applied.
 
         Each yielded element carries the extended environment and the
-        not-yet-consumed assignments/conditions.  When the atom has a
-        bound argument (a constant, or a variable the join already
-        bound), the store's equality index serves the candidates
-        instead of a table scan.
+        not-yet-consumed assignments/conditions.
         """
         matched = []
-        for candidate in self._access_path(atom, env, spec):
+        for candidate in self.store.tuples(atom.table):
             new_env = dict(env)
             if not _match_atom(atom, candidate, new_env):
                 continue
@@ -606,50 +510,6 @@ class Engine:
 
         best = max(matched, key=selector_key)
         return [best]
-
-    def _access_path(self, atom: Atom, env, spec=None) -> List[Tuple]:
-        """Pick index lookup vs. table scan for a body atom.
-
-        ``spec`` is the planned ``(positions, args)`` pair from
-        :meth:`_build_plan`; when present, one composite-index probe
-        serves every bound position at once.  Without a plan (callers
-        outside a rule firing) the path falls back to the first bound
-        position it finds.  Both paths return candidates in the same
-        deterministic order a full scan would (a sorted index bucket is
-        exactly the matching slice of the sorted table), so the access
-        path changes cost, never results.
-        """
-        if not self._use_indexes:
-            return self.store.tuples(atom.table)
-        telemetry = self.telemetry
-        if spec is not None:
-            positions, spec_args = spec
-            if telemetry is not None:
-                telemetry.inc("engine.index.hits")
-            return self.store.tuples_matching_at(
-                atom.table,
-                positions,
-                tuple(
-                    arg.value if isinstance(arg, Const) else env[arg.name]
-                    for arg in spec_args
-                ),
-            )
-        for position, arg in enumerate(atom.args):
-            if isinstance(arg, Const):
-                if telemetry is not None:
-                    telemetry.inc("engine.index.hits")
-                return self.store.tuples_matching(
-                    atom.table, position, arg.value
-                )
-            if isinstance(arg, Var) and arg.name in env:
-                if telemetry is not None:
-                    telemetry.inc("engine.index.hits")
-                return self.store.tuples_matching(
-                    atom.table, position, env[arg.name]
-                )
-        if telemetry is not None:
-            telemetry.inc("engine.index.misses")
-        return self.store.tuples(atom.table)
 
     def _settle(self, env, assigns, conds, final: bool = False) -> bool:
         """Evaluate assignments/conditions whose variables are bound.
@@ -723,27 +583,6 @@ class Engine:
                 raise SchemaError(
                     f"aggregate rule {rule.name!r} cannot read event tables"
                 )
-
-
-def _settle_static(bound: set, assigns: list) -> None:
-    """Static mirror of :meth:`Engine._settle` for boundness analysis.
-
-    Runs the assignment fixpoint over variable *names* instead of
-    values: an assignment whose expression variables are all bound
-    makes its target variable bound.  Conditions never bind anything,
-    so they are ignored.  Because the runtime settle removes
-    assignments under exactly the same availability test, the bound set
-    computed here equals the runtime environment's key set at the same
-    join step for every surviving candidate.
-    """
-    progress = True
-    while progress:
-        progress = False
-        for assignment in list(assigns):
-            if assignment.expr.variables() <= bound:
-                bound.add(assignment.var)
-                assigns.remove(assignment)
-                progress = True
 
 
 def _match_atom(atom: Atom, tup: Tuple, env: Dict[str, object]) -> bool:

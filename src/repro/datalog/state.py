@@ -21,8 +21,6 @@ from .tuples import TableSchema, Tuple
 
 __all__ = ["Derivation", "TupleRecord", "Store", "sort_key"]
 
-_EMPTY: Dict = {}
-
 
 def sort_key(tup: Tuple):
     """A deterministic total order over tuples of mixed value types.
@@ -106,7 +104,13 @@ class TupleRecord:
 
 
 class Store:
-    """All live state tuples, indexed by table, plus derivation records."""
+    """All live state tuples, grouped by table, plus derivation records.
+
+    This is the reference evaluator's store: every query is a linear
+    pass over a table's sorted live view.  The indexed subclass the
+    compiled backend runs on is
+    :class:`repro.datalog.columnar.ColumnarStore`.
+    """
 
     def __init__(self, schemas: Dict[str, TableSchema]):
         self.schemas = schemas
@@ -117,25 +121,16 @@ class Store:
         # Reverse index: body tuple -> ids of active revocable derivations
         # that depend on it.
         self._dependents: Dict[Tuple, Set[int]] = {}
-        # Join acceleration: a cached sorted view per table, plus
-        # equality indexes keyed on one *or more* argument positions.
-        # Indexes are registered up front by the engine's join planner
-        # (one spec per bound-position set a rule body demands) and also
-        # built lazily on first use; either way they are maintained
-        # incrementally on every liveness change.  Layout:
-        #   table -> positions tuple -> value vector -> live tuples
+        # A cached sorted live view per table, dropped whenever a tuple
+        # of that table changes liveness.
         self._sorted_cache: Dict[str, List[Tuple]] = {}
-        self._indexes: Dict[
-            str, Dict[PyTuple[int, ...], Dict[PyTuple, Set[Tuple]]]
-        ] = {}
 
     def __getstate__(self):
-        # Sorted views and index contents are pure caches over _tables;
-        # dropping them keeps replay-cache snapshots small.  They are
-        # rebuilt lazily on first use after a restore.
+        # Sorted views are pure caches over _tables; dropping them
+        # keeps replay-cache snapshots small.  They are rebuilt lazily
+        # on first use after a restore.
         state = self.__dict__.copy()
         state["_sorted_cache"] = {}
-        state["_indexes"] = {}
         return state
 
     # -- queries -------------------------------------------------------------
@@ -164,69 +159,23 @@ class Store:
         return list(cached)
 
     def tuples_matching(self, table: str, position: int, value) -> List[Tuple]:
-        """Live tuples of a table with ``args[position] == value``.
-
-        Served from an equality index; the first call for a
-        (table, position) pair builds it, later liveness changes keep
-        it current.
-        """
+        """Live tuples of a table with ``args[position] == value``."""
         return self.tuples_matching_at(table, (position,), (value,))
 
     def tuples_matching_at(
         self, table: str, positions: PyTuple[int, ...], values: PyTuple
     ) -> List[Tuple]:
-        """Live tuples with ``args[p] == v`` for each (p, v) pair.
-
-        The multi-position form serves body atoms with several bound
-        arguments from one composite index instead of filtering the
-        largest single-position bucket.
-        """
-        index = self._indexes.get(table, _EMPTY).get(positions)
-        if index is None:
-            index = self.register_index(table, positions)
-        matches = index.get(tuple(values))
-        if not matches:
-            return []
-        return sorted(matches, key=sort_key)
-
-    def register_index(
-        self, table: str, positions: PyTuple[int, ...]
-    ) -> Dict[PyTuple, Set[Tuple]]:
-        """Ensure an equality index on ``positions`` exists for ``table``.
-
-        Called by the engine's join planner at rule-registration time,
-        so the index is maintained incrementally from the first insert
-        instead of being rebuilt from a table scan mid-join.
-        """
-        positions = tuple(positions)
-        per_table = self._indexes.setdefault(table, {})
-        index = per_table.get(positions)
-        if index is None:
-            if table not in self._tables:
-                raise SchemaError(f"unknown table {table!r}")
-            index = {}
-            for record in self._tables[table].values():
-                if not record.alive:
-                    continue
-                tup = record.tuple
-                if all(p < tup.arity for p in positions):
-                    key = tuple(tup.args[p] for p in positions)
-                    index.setdefault(key, set()).add(tup)
-            per_table[positions] = index
-        return index
+        """Live tuples with ``args[p] == v`` for each (p, v) pair, in
+        the same deterministic order as :meth:`tuples`."""
+        pairs = list(zip(positions, values))
+        return [
+            tup
+            for tup in self.tuples(table)
+            if all(p < tup.arity and tup.args[p] == v for p, v in pairs)
+        ]
 
     def _note_liveness_change(self, tup: Tuple, alive: bool) -> None:
         self._sorted_cache.pop(tup.table, None)
-        for positions, index in self._indexes.get(tup.table, _EMPTY).items():
-            if any(p >= tup.arity for p in positions):
-                continue
-            bucket = index.setdefault(
-                tuple(tup.args[p] for p in positions), set()
-            )
-            if alive:
-                bucket.add(tup)
-            else:
-                bucket.discard(tup)
 
     def all_tuples(self) -> List[Tuple]:
         result: List[Tuple] = []

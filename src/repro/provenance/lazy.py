@@ -163,7 +163,7 @@ class LazyProvenanceGraph:
     references (``ReplayResult.graph``, emulation views) stay valid.
     """
 
-    def __init__(self, recorder=None, annotated: bool = False):
+    def __init__(self, recorder=None):
         # Backref for telemetry: read dynamically on every use, because
         # replay-cache restores reattach a fresh Telemetry to the
         # recorder after unpickling.
@@ -177,13 +177,11 @@ class LazyProvenanceGraph:
         self._derive_ids: Set[int] = set()
         self._derivations: Dict[int, DerivationInfo] = {}
         self._vertex_count = 0
-        # Subsumption-based proof annotations (provenance="annotated",
-        # after Souffle's height annotations): per-tuple live base
-        # support count and, per head tuple, the heights of its live
-        # derivations recorded at derive time.  From these,
-        # minimal_proof() reconstructs an exact minimal proof tree
-        # without materializing the graph.
-        self._annotated = annotated
+        # Subsumption-based proof annotations (after Souffle's height
+        # annotations): per-tuple live base support count and, per head
+        # tuple, the heights of its live derivations recorded at derive
+        # time.  From these, minimal_proof() reconstructs an exact
+        # minimal proof tree without materializing the graph.
         self._base_live: Dict[Tuple, int] = {}
         self._live_ders: Dict[Tuple, Dict[int, int]] = {}
 
@@ -249,8 +247,7 @@ class LazyProvenanceGraph:
             self._note_vertex(telemetry, "underive", edges)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown arena event {kind!r}")
-        if self._annotated:
-            self._annotate(event)
+        self._annotate(event)
         if self._graph is not None:
             # Already materialized (e.g. a tree was projected mid-run):
             # keep the eager graph current instead of re-growing the arena.
@@ -368,13 +365,8 @@ class LazyProvenanceGraph:
 
     # -- annotation-based proof reconstruction -------------------------------
 
-    @property
-    def annotated(self) -> bool:
-        return self._annotated
-
     def height_of(self, tup: Tuple) -> int:
-        """The tuple's current minimal proof height (annotated mode)."""
-        self._require_annotations()
+        """The tuple's current minimal proof height."""
         return self._height_of(tup)
 
     def minimal_proof(self, tup: Tuple) -> ProofNode:
@@ -387,7 +379,6 @@ class LazyProvenanceGraph:
         and minimal under the recorded heights; ties and recursion are
         broken by derivation id (record order) and a path guard.
         """
-        self._require_annotations()
         telemetry = (
             self._recorder.telemetry if self._recorder is not None else None
         )
@@ -418,13 +409,6 @@ class LazyProvenanceGraph:
             # non-revocable derivation above it.
             return ProofNode(tup, None, (), 0)
         raise ReproError(f"no proof recorded for {tup}")
-
-    def _require_annotations(self) -> None:
-        if not self._annotated:
-            raise ReproError(
-                "proof annotations were not recorded; run with "
-                "EngineConfig(provenance='annotated')"
-            )
 
     # -- materialization ------------------------------------------------------
 

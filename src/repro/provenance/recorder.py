@@ -17,7 +17,6 @@ The third mode (external specifications over packet traces) lives in
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional, Sequence
 
 from ..datalog.config import PROVENANCE_MODES
@@ -39,18 +38,14 @@ class ProvenanceRecorder:
     :mod:`repro.datalog.config`):
 
     - ``"annotated"`` (default) — lazy arena recording plus per-tuple
-      min-height/first-derivation annotations; minimal proof trees are
+      min-height/first-derivation annotations (see
+      :mod:`repro.provenance.lazy`); minimal proof trees are
       reconstructed on demand via ``graph.minimal_proof()`` without
-      materializing a single vertex;
-    - ``"lazy"`` — arena recording only (see
-      :mod:`repro.provenance.lazy`); the seven-vertex graph is
-      reconstructed when something projects a tree or serializes;
+      materializing a single vertex, and the seven-vertex graph only
+      when something projects a tree or serializes;
     - ``"eager"`` — classic eager construction, the reference mode the
       equivalence tests compare against.  Passing an explicit ``graph``
       also forces eager mode.
-
-    The old ``lazy=`` boolean is a deprecated shim for
-    ``provenance="lazy"``/``"eager"``.
     """
 
     def __init__(
@@ -58,24 +53,8 @@ class ProvenanceRecorder:
         graph: Optional[ProvenanceGraph] = None,
         faults=None,
         telemetry=None,
-        lazy: Optional[bool] = None,
-        provenance: Optional[str] = None,
+        provenance: str = "annotated",
     ):
-        if lazy is not None:
-            if provenance is not None:
-                raise ValueError(
-                    "pass either provenance= or the deprecated lazy= "
-                    "boolean, not both"
-                )
-            warnings.warn(
-                "ProvenanceRecorder(lazy=) is deprecated; pass "
-                "provenance='lazy'/'eager' (or an EngineConfig upstream)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            provenance = "lazy" if lazy else "eager"
-        if provenance is None:
-            provenance = "annotated"
         if provenance not in PROVENANCE_MODES:
             raise ValueError(
                 f"unknown provenance mode {provenance!r}; expected one "
@@ -89,9 +68,7 @@ class ProvenanceRecorder:
             self.graph = ProvenanceGraph()
             self._lazy = None
         else:
-            self._lazy = LazyProvenanceGraph(
-                self, annotated=(provenance == "annotated")
-            )
+            self._lazy = LazyProvenanceGraph(self)
             self.graph = self._lazy
         # Optional FaultInjector modelling lossy provenance logging: a
         # fraction of events is acknowledged (the clock still advances)

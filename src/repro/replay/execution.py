@@ -15,7 +15,6 @@ run in two logging modes (Section 5):
 from __future__ import annotations
 
 import time as _time
-import warnings
 from typing import Iterable, Optional
 
 from ..datalog.config import EngineConfig
@@ -46,8 +45,6 @@ class Execution:
         faults=None,
         telemetry=None,
         replay_cache=None,
-        use_indexes: Optional[bool] = None,
-        lazy_provenance: Optional[bool] = None,
         engine: Optional[EngineConfig] = None,
     ):
         if mode not in _MODES:
@@ -56,14 +53,10 @@ class Execution:
         self.name = name
         self.mode = mode
         self.logging_enabled = logging_enabled
-        # Backend/provenance selection, inherited by the live engine
-        # and every replay.  All modes produce byte-identical results
-        # (the equivalence tests rely on this); only the cost changes.
-        # The old use_indexes/lazy_provenance booleans are deprecated
-        # shims handled by EngineConfig.resolve.
-        self.engine_config = EngineConfig.resolve(
-            engine, use_indexes=use_indexes, lazy=lazy_provenance
-        )
+        # Backend selection, inherited by the live engine and every
+        # replay.  Both backends produce byte-identical results (the
+        # equivalence tests rely on this); only the cost changes.
+        self.engine_config = EngineConfig.coerce(engine)
         # Optional FaultPlan.  The live engine and every replay build
         # injectors with the same purposes from it, so query-time
         # replays see the same fault schedule the primary run did.
@@ -105,56 +98,6 @@ class Execution:
         self.deadline = None
         self.replay_count = 0
         self.replay_seconds = 0.0
-
-    # -- deprecated boolean knobs ---------------------------------------------
-    # Kept as properties over engine_config so code written against the
-    # old API keeps working (with a warning).  Setting one only affects
-    # subsequent replays — the live engine was built at __init__ time,
-    # exactly as with the old plain attributes.
-
-    @property
-    def use_indexes(self) -> bool:
-        warnings.warn(
-            "Execution.use_indexes is deprecated; read "
-            "execution.engine_config instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.engine_config.use_indexes
-
-    @use_indexes.setter
-    def use_indexes(self, value: bool) -> None:
-        warnings.warn(
-            "Execution.use_indexes is deprecated; assign "
-            "execution.engine_config = EngineConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.engine_config = EngineConfig.from_legacy(
-            use_indexes=value, lazy=self.engine_config.lazy
-        )
-
-    @property
-    def lazy_provenance(self) -> bool:
-        warnings.warn(
-            "Execution.lazy_provenance is deprecated; read "
-            "execution.engine_config instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.engine_config.lazy
-
-    @lazy_provenance.setter
-    def lazy_provenance(self, value: bool) -> None:
-        warnings.warn(
-            "Execution.lazy_provenance is deprecated; assign "
-            "execution.engine_config = EngineConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.engine_config = EngineConfig.from_legacy(
-            use_indexes=self.engine_config.use_indexes, lazy=value
-        )
 
     # -- driving the primary system -----------------------------------------
 

@@ -101,8 +101,6 @@ def replay(
     telemetry=None,
     cache=None,
     deadline=None,
-    use_indexes: Optional[bool] = None,
-    lazy: Optional[bool] = None,
     engine: Optional[EngineConfig] = None,
 ) -> ReplayResult:
     """Replay a log, applying ``changes`` just before ``anchor_index``.
@@ -127,13 +125,13 @@ def replay(
       re-deriving from scratch.  The cache never changes the outcome —
       snapshots are the pickled state of the identical computation.
     - ``engine`` (an :class:`repro.datalog.config.EngineConfig`, a
-      backend name string, or a mapping) selects the evaluation backend
-      and provenance mode; the default is the compiled/annotated fast
-      path.  Every mode produces byte-identical results (the
-      equivalence tests rely on this) — only the cost changes.  The
-      old ``use_indexes``/``lazy`` booleans are deprecated shims.
+      backend name string, or a mapping) selects the evaluation
+      backend; the default is the compiled/annotated fast path, and
+      ``"reference"`` is the oracle.  Both produce byte-identical
+      results (the equivalence tests rely on this) — only the cost
+      changes.
     """
-    config = EngineConfig.resolve(engine, use_indexes=use_indexes, lazy=lazy)
+    config = EngineConfig.coerce(engine)
     changes = list(changes)
     removed = set()
     for change in changes:

@@ -625,7 +625,7 @@ class EmulatedNetworkExecution:
         self.fault_plan = faults
         # Backend selection maps onto how each replay obtains its
         # configuration copy: compiled forks (O(1) copy-on-write),
-        # indexed clones, reference clones and linear-scans lookups.
+        # reference clones and linear-scans lookups.
         self.engine_config = EngineConfig.coerce(engine)
         self.log = self._build_log()
         self._materialized: Optional[EmulationReplayResult] = None
@@ -676,16 +676,14 @@ class EmulatedNetworkExecution:
         lossless: bool = True,
     ) -> EmulationReplayResult:
         started = _time.perf_counter()
-        backend = self.engine_config.backend
-        if backend == "compiled":
+        if self.engine_config.backend == "compiled":
             # O(1) copy-on-write: the shared entries are never copied,
             # only the handful the candidate changes touch.
             config = self.base_config.fork()
         else:
             config = self.base_config.clone()
-            if backend == "reference":
-                for table in config.tables.values():
-                    table.linear_scan = True
+            for table in config.tables.values():
+                table.linear_scan = True
         config.apply_changes(changes)
         if self.fault_plan is not None:
             network_faults = FaultInjector(self.fault_plan, "network")

@@ -160,21 +160,6 @@ class TestExplicitMode:
 
 
 class TestDeprecationShims:
-    def test_top_level_diffprov_warns_once_per_access(self):
-        import repro
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cls = repro.DiffProv
-            options_cls = repro.DiffProvOptions
-        assert cls is DiffProv
-        assert options_cls is DiffProvOptions
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 2
-        assert all("repro.api.Session" in m or "docs/api.md" in m
-                   for m in messages)
-
     def test_canonical_submodule_import_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -185,3 +170,8 @@ class TestDeprecationShims:
 
         with pytest.raises(AttributeError):
             repro.NoSuchThing
+        # The top-level DiffProv/DiffProvOptions shim is gone too; the
+        # canonical home is repro.core.
+        for name in ("DiffProv", "DiffProvOptions"):
+            assert not hasattr(repro, name)
+            assert name not in repro.__all__

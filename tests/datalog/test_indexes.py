@@ -1,22 +1,36 @@
-"""Tests for the store's join-acceleration indexes."""
+"""The store query contract, served two ways.
+
+``tuples`` / ``tuples_matching(_at)`` are one contract with two
+implementations that share no lookup code: :class:`ColumnarStore`
+(bisection-maintained views and equality indexes — the compiled
+backend's store) and the plain :class:`Store` (a linear filter — the
+reference oracle's).  Every contract test below runs against both: each
+test class binds the indexed store, and its ``...Linear`` subclass
+re-runs the same tests on the linear one.
+"""
+
+import pickle
 
 import pytest
 
-from repro.datalog import Engine, parse_program, parse_tuple
-from repro.datalog.state import Store
+from repro.datalog import ColumnarStore, Engine, parse_program, parse_tuple
+from repro.datalog.state import Store, sort_key
 from repro.datalog.tuples import TableSchema, Tuple
+from repro.errors import SchemaError
 
 
 @pytest.fixture
-def store():
+def store(request):
     schemas = {"cfg": TableSchema("cfg", ["K", "V"])}
-    store = Store(schemas)
+    store = request.cls.store_class(schemas)
     for index in range(10):
         store.add_base_support(Tuple("cfg", [f"k{index}", index]), index, True)
     return store
 
 
 class TestEqualityIndex:
+    store_class = ColumnarStore
+
     def test_matching_by_key(self, store):
         assert store.tuples_matching("cfg", 0, "k3") == [Tuple("cfg", ["k3", 3])]
 
@@ -46,8 +60,40 @@ class TestEqualityIndex:
         scan = [t for t in store.tuples("cfg") if t.args[0] == "k1"]
         assert store.tuples_matching("cfg", 0, "k1") == scan
 
+    def test_composite_positions(self, store):
+        store.add_base_support(Tuple("cfg", ["k4", 40]), 400, True)
+        assert store.tuples_matching_at("cfg", (0, 1), ("k4", 40)) == [
+            Tuple("cfg", ["k4", 40])
+        ]
+        assert store.tuples_matching_at("cfg", (0, 1), ("k4", 5)) == []
+        # A position past the arity matches nothing, on either store.
+        assert store.tuples_matching_at("cfg", (2,), ("k4",)) == []
+
+    def test_result_is_a_copy(self, store):
+        store.tuples_matching("cfg", 0, "k5").clear()
+        assert store.tuples_matching("cfg", 0, "k5") == [Tuple("cfg", ["k5", 5])]
+
+    def test_unknown_table_is_a_schema_error(self, store):
+        with pytest.raises(SchemaError):
+            store.tuples_matching("nope", 0, 1)
+
+    def test_survives_pickling(self, store):
+        store.tuples_matching("cfg", 0, "k6")  # build whatever is cached
+        restored = pickle.loads(pickle.dumps(store))
+        restored.remove_base_support(Tuple("cfg", ["k6", 6]))
+        assert restored.tuples_matching("cfg", 0, "k6") == []
+        assert restored.tuples("cfg") == [
+            t for t in store.tuples("cfg") if t.args[0] != "k6"
+        ]
+
+
+class TestEqualityIndexLinear(TestEqualityIndex):
+    store_class = Store
+
 
 class TestSortedCache:
+    store_class = ColumnarStore
+
     def test_returned_list_is_a_copy(self, store):
         first = store.tuples("cfg")
         first.append(Tuple("cfg", ["fake", -1]))
@@ -58,6 +104,25 @@ class TestSortedCache:
         store.add_base_support(Tuple("cfg", ["new", 1]), 300, True)
         after = store.tuples("cfg")
         assert len(after) == len(before) + 1
+        assert after == sorted(after, key=sort_key)
+        store.remove_base_support(Tuple("cfg", ["new", 1]))
+        assert store.tuples("cfg") == before
+
+
+class TestSortedCacheLinear(TestSortedCache):
+    store_class = Store
+
+
+class TestOneOwnerForIndexes:
+    def test_only_the_columnar_store_holds_index_state(self):
+        schemas = {"cfg": TableSchema("cfg", ["K", "V"])}
+        linear, indexed = Store(schemas), ColumnarStore(schemas)
+        assert not hasattr(linear, "_indexes")
+        assert not hasattr(linear, "register_index")
+        indexed.register_index("cfg", (0,))
+        assert (0,) in indexed._indexes["cfg"]
+        # Index buckets are a cache: dropped from snapshots, rebuilt lazily.
+        assert pickle.loads(pickle.dumps(indexed))._indexes == {}
 
 
 class TestIndexedJoinSemantics:

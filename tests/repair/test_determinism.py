@@ -6,6 +6,7 @@ docs/resilience.md)."""
 import pytest
 
 from repro.api import Session
+from repro.datalog import BACKENDS
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,7 @@ def test_repair_toggle_changes_the_journal_fingerprint(tmp_path):
 
 
 def test_cross_backend_byte_identity(baseline):
-    for engine in ("reference", "indexed", "compiled"):
+    for engine in BACKENDS:
         with Session(scenario="SDN1", repair=True, engine=engine) as session:
             report = session.diagnose()
         assert report.canonical_json() == baseline

@@ -5,7 +5,7 @@ The planner judges every plan by ``δ(R) = alive(R) △ P`` (docs/repair.md,
 
 - the oracle matrix recomputes every enumerated plan's verdict from
   full :func:`~repro.repair.probes.alive_state` footprints, on both
-  substrates and all three backends;
+  substrates and every backend;
 - the emulator's probe suite is no longer vacuous, and it vetoes a
   hand-built plan that blackholes a delivered background packet;
 - a repair on the emulator enumerates the configuration zero times and
@@ -16,6 +16,7 @@ The planner judges every plan by ``δ(R) = alive(R) △ P`` (docs/repair.md,
 import pytest
 
 from repro.api import Session
+from repro.datalog import BACKENDS
 from repro.datalog.tuples import Tuple
 from repro.errors import StepLimitExceeded
 from repro.repair import (
@@ -30,7 +31,6 @@ from repro.replay import Change
 from repro.scenarios.stanford import StanfordForwardingError
 from repro.sdn.emulation import EmulatedNetwork, NetworkConfig
 
-BACKENDS = ("compiled", "indexed", "reference")
 SMALL_STANFORD = dict(
     entries_per_router=300, acl_rules=20, background_packets=10
 )

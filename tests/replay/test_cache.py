@@ -172,7 +172,7 @@ class TestBackendSnapshots:
     """ColumnarStore + compiled closures must survive the pickle path.
 
     A cached snapshot is a pickled engine; the compiled backend drops
-    its (unpicklable) closures and columnar caches on ``__getstate__``
+    its (unpicklable) closures and index buckets on ``__getstate__``
     and rebuilds them lazily after restore, so a warm replay must be
     byte-identical to a cold one — per backend, and across backends.
     """
@@ -193,14 +193,18 @@ class TestBackendSnapshots:
             sorted(map(str, cold.engine.store.all_tuples()))
         delivered = parse_tuple("delivered('h1', 7.7.7.7, 4.3.3.1)")
         assert warm.engine.exists(delivered)
+        # Closures and index buckets did not ride along in the pickle.
+        assert warm.engine._compiled_plans == {}
+        assert getattr(warm.engine.store, "_indexes", {}) == {}
         # The restored engine must still evaluate: push another packet
-        # through the compiled/indexed/reference join path.
+        # through the backend's join path, which rebuilds them.
         warm.engine.insert_and_run(
             parse_tuple("packet('s1', 8.8.8.8, 4.3.3.2)")
         )
         assert warm.engine.exists(
             parse_tuple("delivered('h1', 8.8.8.8, 4.3.3.2)")
         )
+        assert bool(warm.engine._compiled_plans) == (backend == "compiled")
 
     def test_snapshots_never_cross_backends(self, forwarding_program):
         execution = _forwarding_execution(forwarding_program)
@@ -208,8 +212,8 @@ class TestBackendSnapshots:
         replay(forwarding_program, execution.log, cache=cache,
                engine="compiled")
         replay(forwarding_program, execution.log, cache=cache,
-               engine="indexed")
-        # The second replay used a different backend: pickled engine
+               engine="reference")
+        # The second replay used the other backend: pickled engine
         # state differs even though results do not, so it must be a
         # miss, not a hit on the compiled snapshot.
         assert cache.hits == 0
