@@ -45,9 +45,11 @@ def diffprov_query(scenario):
     if scenario.bad_execution is not scenario.good_execution:
         scenario.bad_execution._materialized = None
     telemetry = Telemetry()
-    # replay_cache=False: this benchmark reproduces the paper's
-    # replay-dominated cost shape, which the snapshot cache exists to
-    # break (bench_replay_cache.py measures that side).
+    # Pinned to replay_cache=False: the paper's cost shape is one full
+    # replay per candidate, which is exactly the from-scratch oracle
+    # path.  The default forks candidates off one live base instead
+    # (docs/performance.md, "Replay"; bench_replay_cache.py measures
+    # that side).
     debugger = DiffProv(
         scenario.program,
         DiffProvOptions(telemetry=telemetry, replay_cache=False),

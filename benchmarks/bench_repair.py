@@ -2,10 +2,13 @@
 
 Every candidate plan costs one anchored replay of the bad log, and all
 of those replays share the pre-anchor prefix — exactly the shape the
-replay snapshot cache (docs/performance.md) exists for.  This
+live replay base (docs/performance.md, "Replay") exists for.  This
 benchmark times the ``diffprov.repair`` phase (probe-suite
-construction plus every plan verification) with the cache off and on,
-and reports plans verified per second.
+construction plus every plan verification) with ``replay_cache=False``
+("cold": every plan re-derives the whole log) and with the default
+("cached": plans fork off the base by checkpoint/rollback; plans that
+fork below it still replay from scratch), and reports plans verified
+per second.
 
 Reported per workload:
 
@@ -23,8 +26,8 @@ Reported per workload:
   ``workers=2`` (the repair section is part of the determinism
   contract, so the benchmark doubles as a regression check).
 
-The last row is the emulated substrate (default-scale Stanford, where
-there is no snapshot cache): one session's first ``repair()`` against
+The last row is the emulated substrate (default-scale Stanford, which
+never enters the NDlog replayer): one session's first ``repair()`` against
 its second, identical canonical reports required.  Its phase time is
 two packet-schedule replays plus O(Δ) footprint deltas
 (docs/repair.md, "Cost model"); the 449k-entry timing lives in the

@@ -1,22 +1,28 @@
-"""Replay snapshot cache: candidate-replay phase speed-up.
+"""Candidate replays: from scratch vs forked off the live base.
 
 The Figure 7 benchmark shows query turnaround dominated by replay;
 this benchmark measures the mechanism that breaks that shape
-(docs/performance.md).  The workloads are the replay-heavy diagnoses —
-minimality post-passes, which replay the bad log once per candidate
-change — timed with the cache off and on, plus a ``workers=2`` run to
-pin the determinism contract from the same harness.
+(docs/performance.md, "Replay").  The workloads are the replay-heavy
+diagnoses — minimality post-passes, which replay the bad log once per
+candidate change — timed with ``replay_cache=False`` (every candidate
+re-derives the whole log: the oracle path) and with the default (one
+live base per execution, candidates forked by checkpoint/rollback),
+plus a ``workers=2`` run to pin the determinism contract from the same
+harness.
 
 Reported per workload:
 
-- ``replay_off_s`` / ``replay_on_s`` — the ``diffprov.replay`` phase
-  total (span-tree seconds, same source as ``--metrics``), best of
-  ``ROUNDS`` runs each;
-- ``speedup`` — off/on ratio of the candidate-replay phase (the
-  acceptance bar is >= 1.5x on at least one workload);
-- cache hit/miss/store counters from the cached run;
-- ``identical`` — canonical-report equality across cache-off,
-  cache-on, and workers=2.
+- ``replay_scratch_s`` / ``replay_forked_s`` — the ``diffprov.replay``
+  phase total (span-tree seconds, same source as ``--metrics``), best
+  of ``ROUNDS`` runs each;
+- ``speedup`` — their ratio (the acceptance bar is >= 1.5x on at least
+  one workload);
+- ``forks`` / ``bypassed`` — replays served from the base, and replays
+  that forked below it and ran from scratch instead;
+- ``pickles`` — ``pickle.dumps`` + ``pickle.loads`` calls during the
+  forked diagnosis (must be 0: no snapshot is taken or restored);
+- ``identical`` — canonical-report equality across from-scratch,
+  forked, and workers=2.
 
 Run as a script (writes BENCH_replay_cache.json)::
 
@@ -29,7 +35,9 @@ or through pytest-benchmark like the other benchmarks::
 
 import argparse
 import json
+import pickle
 import sys
+from unittest import mock
 
 from repro.core.diffprov import DiffProv, DiffProvOptions
 from repro.observability import Telemetry
@@ -82,7 +90,10 @@ def run_benchmark():
     rows = []
     for name, params in WORKLOADS:
         off_s, off_report, _ = _best_replay_seconds(name, params, False)
-        on_s, on_report, counters = _best_replay_seconds(name, params, True)
+        with mock.patch.object(pickle, "dumps", wraps=pickle.dumps) as dumps, \
+                mock.patch.object(pickle, "loads", wraps=pickle.loads) as loads:
+            on_s, on_report, counters = _best_replay_seconds(name, params, True)
+            pickles = dumps.call_count + loads.call_count
         par_report, _, _ = _diagnose(name, params, True, workers=2)
         identical = (
             off_report.canonical_json()
@@ -92,13 +103,13 @@ def run_benchmark():
         rows.append(
             {
                 "scenario": name,
-                "replay_off_s": round(off_s, 4),
-                "replay_on_s": round(on_s, 4),
+                "replay_scratch_s": round(off_s, 4),
+                "replay_forked_s": round(on_s, 4),
                 "speedup": round(off_s / max(on_s, 1e-9), 2),
                 "replays": off_report.replays,
-                "cache_hits": counters.get("replay.cache.hits", 0),
-                "cache_misses": counters.get("replay.cache.misses", 0),
-                "cache_stores": counters.get("replay.cache.stores", 0),
+                "forks": counters.get("replay.base.forks", 0),
+                "bypassed": counters.get("replay.base.bypassed", 0),
+                "pickles": pickles,
                 "identical": identical,
             }
         )
@@ -108,9 +119,9 @@ def run_benchmark():
 def check(rows):
     for row in rows:
         assert row["identical"], (
-            f"{row['scenario']}: cache/parallel changed the report"
+            f"{row['scenario']}: forking/parallel changed the report"
         )
-        assert row["cache_hits"] > 0, row
+        assert row["forks"] == row["replays"] and row["pickles"] == 0, row
     best = max(row["speedup"] for row in rows)
     assert best >= 1.5, (
         f"candidate-replay speed-up {best}x below the 1.5x bar: {rows}"
@@ -121,7 +132,7 @@ def test_replay_cache_speedup(benchmark):
     rows = benchmark.pedantic(run_benchmark, rounds=1, iterations=1)
     from conftest import emit
 
-    emit("Replay cache: candidate-replay phase, off vs on", rows)
+    emit("Candidate-replay phase: from scratch vs forked", rows)
     benchmark.extra_info["rows"] = rows
     check(rows)
 
@@ -142,10 +153,10 @@ def main(argv=None):
         handle.write("\n")
     for row in rows:
         print(
-            f"{row['scenario']:6s} replay {row['replay_off_s']*1000:7.1f}ms -> "
-            f"{row['replay_on_s']*1000:7.1f}ms  ({row['speedup']}x, "
-            f"{row['cache_hits']} hits/{row['cache_misses']} misses, "
-            f"identical={row['identical']})"
+            f"{row['scenario']:6s} replay {row['replay_scratch_s']*1000:7.1f}ms -> "
+            f"{row['replay_forked_s']*1000:7.1f}ms  ({row['speedup']}x, "
+            f"{row['forks']} forks/{row['bypassed']} bypassed, "
+            f"{row['pickles']} pickles, identical={row['identical']})"
         )
     print(f"wrote {args.out}")
     return 0

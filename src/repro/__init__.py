@@ -8,7 +8,7 @@ The package layers, bottom to top:
   for inferred / reported / external-specification modes, and the
   naive tree-diff baselines;
 - :mod:`repro.replay` — base-event logging, deterministic replay,
-  checkpoints;
+  checkpoint/rollback forking of candidate replays;
 - :mod:`repro.observability` — the metrics registry and span-tree
   tracing threaded through all of the above (docs/observability.md);
 - :mod:`repro.core` — the DiffProv algorithm itself;
@@ -75,7 +75,7 @@ from .provenance import (
     tree_edit_distance,
 )
 from .repair import RollbackPlan, RollbackPlanner
-from .replay import Change, Checkpointer, EventLog, Execution, ReplayCache
+from .replay import Change, EventLog, Execution, ReplayCache
 from .api import Session
 
 __version__ = "1.0.0"
@@ -120,7 +120,6 @@ __all__ = [
     "RollbackPlan",
     "RollbackPlanner",
     "Change",
-    "Checkpointer",
     "EventLog",
     "Execution",
     "ReplayCache",

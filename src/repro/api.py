@@ -28,8 +28,9 @@ Two construction modes:
 
 The knobs mirror :class:`repro.DiffProvOptions`: ``workers`` > 1 fans
 candidate replays out over a process pool and ``replay_cache=False``
-disables the baseline snapshot cache; both leave the report
-byte-identical (docs/performance.md).
+re-derives every candidate replay from scratch instead of forking it
+off one live base; both leave the report byte-identical
+(docs/performance.md).
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ class Session:
     ``workers``
         Process-pool width for candidate replays; 1 = serial.
     ``replay_cache``
-        Snapshot-cache baseline engine states between replays.
+        Fork candidate replays off one live base per execution
+        (checkpoint/rollback) instead of re-deriving the log per
+        candidate; ``False`` makes every replay re-derive from scratch.
     ``max_rounds``, ``minimize``, ``taint``
         As in :class:`repro.DiffProvOptions` (``taint`` maps to
         ``enable_taint``).
@@ -94,8 +97,9 @@ class Session:
         report is byte-identical (docs/resilience.md).
     ``cache``
         An existing :class:`repro.replay.cache.ReplayCache` to attach
-        to the session's executions, so baseline snapshots stay warm
-        *across* sessions — the diagnosis-service workers keep one per
+        to the session's executions, so snapshots stay warm *across*
+        sessions (they seed the replay base and answer repeated
+        candidates) — the diagnosis-service workers keep one per
         process this way (docs/service.md).  Snapshot keys embed the
         log fingerprint, so a single cache safely serves many
         scenarios.  Ignored when ``replay_cache=False``.
@@ -289,10 +293,10 @@ class Session:
     def _attach_cache(self) -> None:
         """Hand the caller-supplied ReplayCache to both executions.
 
-        ``_replay_cache_scope`` (repro.core.diffprov) reuses a cache it
-        finds already attached instead of building a fresh one, which
-        is exactly how warmth survives across diagnose() calls and
-        across Sessions sharing one cache.
+        ``_replay_cache_scope`` (repro.core.diffprov) never creates a
+        cache; one it finds attached seeds the replay base and keeps
+        results, which is how warmth survives across diagnose() calls
+        and across Sessions sharing one cache.
         """
         if self.cache is None:
             return

@@ -100,7 +100,8 @@ def _tuning_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--no-replay-cache",
         action="store_true",
-        help="disable the baseline snapshot cache between replays",
+        help="re-derive every candidate replay from scratch instead of "
+             "forking it off one live base (the paper's cost shape)",
     )
     parent.add_argument(
         "--journal",

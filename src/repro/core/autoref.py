@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 
 from ..datalog.tuples import Tuple
 from ..faults import FaultInjector
-from ..replay.cache import ReplayCache
 from ..replay.parallel import CandidateEvaluator
 from ..resilience import Deadline
 from .diffprov import DiffProv, DiffProvOptions, _replay_cache_scope
@@ -143,12 +142,6 @@ def _probe_reference(shared, index):
     candidate would produce, minus the telemetry section.
     """
     program, good_execution, bad_execution, bad_event, options, events = shared
-    for execution in {id(good_execution): good_execution,
-                      id(bad_execution): bad_execution}.values():
-        if getattr(execution, "replay_cache", False) is None:
-            # Worker-local snapshot cache, shared by every candidate
-            # diagnosis this worker performs.
-            execution.replay_cache = ReplayCache()
     debugger = DiffProv(program, options)
     return debugger.diagnose(
         good_execution, bad_execution, events[index], bad_event
@@ -199,16 +192,20 @@ def auto_diagnose(
             and len(candidates) > 1
             and not (journal is not None and journal.has_verdicts)
         ):
-            result = _auto_diagnose_parallel(
-                program, good_execution, bad_execution, bad_event,
-                opts, candidates, workers, journal, deadline,
-            )
+            # Shipped inside the scope, the executions keep
+            # fork_replays: each worker serves every candidate it
+            # diagnoses from one live base per execution.
+            with _replay_cache_scope(opts, good_execution, bad_execution):
+                result = _auto_diagnose_parallel(
+                    program, good_execution, bad_execution, bad_event,
+                    opts, candidates, workers, journal, deadline,
+                )
             if result is not None:
                 return result
             # Unpicklable context: fall through to the serial sweep.
-        # One snapshot cache stays warm across the whole sweep: every
+        # One live base per execution serves the whole sweep: every
         # candidate diagnosis replays the same logs, so later candidates
-        # restore what earlier ones derived.
+        # fork off what the first one derived.
         with _replay_cache_scope(opts, good_execution, bad_execution):
             for candidate in candidates:
                 if deadline is not None and deadline.expired:

@@ -45,7 +45,6 @@ from ..observability import active as _active_telemetry
 from ..provenance.distributed import PartitionedProvenance
 from ..provenance.query import provenance_query
 from ..provenance.tree import TupleNode
-from ..replay.cache import ReplayCache
 from ..replay.execution import Execution
 from ..replay.parallel import CandidateEvaluator
 from ..replay.replayer import Change, ReplayResult
@@ -129,8 +128,9 @@ class DiffProvOptions:
         # Results are consumed in serial order, so reports stay
         # byte-identical to workers=1 (docs/performance.md).
         self.workers = workers
-        # Snapshot caching for diagnosis replays (repro.replay.cache);
-        # a pure speed-up, disabled with replay_cache=False.
+        # Candidate replays fork off one live base per execution, and
+        # an attached repro.replay.cache.ReplayCache seeds it; a pure
+        # speed-up.  replay_cache=False makes every replay re-derive.
         self.replay_cache = replay_cache
         # Optional DiagnosisJournal (repro.resilience): every phase
         # boundary, explored change-set, and candidate verdict is
@@ -273,15 +273,18 @@ class DiffProv:
 
 @contextmanager
 def _replay_cache_scope(options, good, bad):
-    """Attach one shared ReplayCache to both executions for one run.
+    """Let both executions fork candidate replays for one run.
 
-    Mirrors the telemetry attach in :meth:`DiffProv.diagnose`: the
-    previous value is always restored, execution stand-ins without a
-    ``replay_cache`` attribute are left alone, and a cache already
-    attached by the caller (e.g. a :class:`repro.api.Session`, which
-    keeps one warm across diagnoses) is reused rather than replaced.
-    With ``options.replay_cache`` false, any attached cache is detached
-    for the duration — the explicit off switch wins.
+    For the duration each execution owns one live replay base
+    (``Execution.fork_replays``); it belongs to the outermost scope (one
+    ``diagnose()``, one autoref sweep) and is dropped when that exits.
+    A :class:`~repro.replay.cache.ReplayCache` the caller attached (a
+    ``Session(cache=)``, a service worker's warm cache) stays attached;
+    none is created here.  With ``options.replay_cache`` false, forking
+    is off and any attached cache is detached — every replay
+    re-derives, the explicit off switch wins.  Stand-ins without these
+    attributes are left alone; previous values are always restored.
+    Yields the attached cache (or None).
     """
     targets = [
         execution
@@ -289,33 +292,35 @@ def _replay_cache_scope(options, good, bad):
         if hasattr(execution, "replay_cache")
     ]
     enabled = getattr(options, "replay_cache", True)
-    saved = [(execution, execution.replay_cache) for execution in targets]
+    saved = [
+        (execution, execution.replay_cache, execution.fork_replays)
+        for execution in targets
+    ]
     cache = None
-    if enabled:
-        for execution in targets:
-            if execution.replay_cache is not None:
-                cache = execution.replay_cache
-                break
-        if cache is None and targets:
-            plan = getattr(options, "faults", None)
-            cache = ReplayCache(
-                faults=(
-                    FaultInjector(plan, "snapshot")
-                    if plan is not None and plan.snapshot_corrupt > 0.0
-                    else None
-                )
-            )
-        for execution in targets:
-            if execution.replay_cache is None:
-                execution.replay_cache = cache
-    else:
-        for execution in targets:
+    for execution in targets:
+        execution.fork_replays = enabled
+        if not enabled:
             execution.replay_cache = None
+        elif cache is None:
+            cache = execution.replay_cache
+    plan = getattr(options, "faults", None)
+    armed = (
+        cache is not None and cache.faults is None
+        and plan is not None and plan.snapshot_corrupt > 0.0
+    )
+    if armed:
+        # The snapshot-corrupt fault kind damages what this run stores.
+        cache.faults = FaultInjector(plan, "snapshot")
     try:
         yield cache
     finally:
-        for execution, previous in saved:
+        if armed:
+            cache.faults = None
+        for execution, previous, forking in saved:
             execution.replay_cache = previous
+            execution.fork_replays = forking
+            if not forking:
+                execution.drop_base()
 
 
 @contextmanager
@@ -353,10 +358,8 @@ def _probe_minimize_trial(shared, index):
     ``_find_divergence`` is a pure function of the replayed state.
     """
     state, path, good_root, anchor_index, trials = shared
-    if state.bad.replay_cache is None:
-        # Worker-local snapshot cache: trials landing on the same
-        # worker fork from shared prefixes instead of re-deriving.
-        state.bad.replay_cache = ReplayCache()
+    # The shipped execution kept fork_replays: trials landing on the
+    # same worker fork off one live base for the worker's lifetime.
     replayed = state.bad.replay(trials[index], anchor_index)
     anchor_time = state._anchor_time(replayed)
     divergent = state._find_divergence(path, good_root, replayed, anchor_time)
@@ -399,7 +402,7 @@ class _DiagnosisState:
         self.partial_verify = False
         self.recovered = False
         self.lost_log_events = 0
-        # The ReplayCache attached for this run (None when disabled).
+        # The caller's ReplayCache seeding this run's replays, if any.
         self.replay_cache = None
         # Resilience machinery (docs/resilience.md).
         self.journal = self.options.journal

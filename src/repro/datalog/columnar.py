@@ -104,6 +104,11 @@ class ColumnarStore(Store):
     # -- incremental maintenance ----------------------------------------------
 
     def _note_liveness_change(self, tup: Tuple, alive: bool) -> None:
+        if self._trail is not None:
+            # insort and _sorted_remove are each other's inverse, and
+            # they reach an index registered mid-checkpoint too: it was
+            # built from the live set of that moment.
+            self._trail.call(self._note_liveness_change, tup, not alive)
         table = tup.table
         live = self._sorted_cache.get(table)
         if live is not None:

@@ -26,6 +26,7 @@ from .config import EngineConfig
 from .expr import Const, Expr, Var
 from .rules import Atom, Program, Rule
 from .state import Derivation, Store, sort_key
+from .trail import Trail
 from .tuples import TableKind, Tuple, TupleStore
 
 __all__ = ["Engine", "GLOBAL_NODE"]
@@ -93,6 +94,8 @@ class Engine:
         # interpreter: a rule whose final settle would leave unbound
         # leftovers, so the EvaluationError is raised by one code path.
         self._compiled_plans: Dict[PyTuple[str, int], object] = {}
+        # The undo trail of the open checkpoint, if any.
+        self._trail: Optional[Trail] = None
         self._located_tables = self._find_located_tables()
         self._validate_event_usage()
 
@@ -117,7 +120,53 @@ class Engine:
         # Compiled closures capture store/telemetry access and are not
         # picklable; they rebuild on first firing.
         state["_compiled_plans"] = {}
+        # A snapshot taken inside a checkpoint is a standalone state.
+        state["_trail"] = None
         return state
+
+    # -- checkpoint / rollback -----------------------------------------------
+
+    def checkpoint(self) -> None:
+        """Open an undo trail; :meth:`rollback` returns to this state.
+
+        Covers the store, the (annotated, lossless) recorder and the
+        engine's own counters and queues.  Rollback is exact from any
+        later state, including mid-``run()`` — ``StepLimitExceeded``
+        and ``DeadlineExceeded`` leave events queued.  One level only.
+        """
+        if self._trail is not None:
+            raise EvaluationError("engine already has an open checkpoint")
+        if self.faults is not None and not self.faults.plan.host_only():
+            raise EvaluationError(
+                "message-fault PRNG streams cannot be rolled back"
+            )
+        trail = Trail()
+        if self.recorder is not None:
+            self.recorder.checkpoint(trail)
+        trail.attrs(self, "steps", "_clock", "_next_derivation_id",
+                    "_delay_seq", "_queue", "_delayed")
+        # The candidate works on copies; rollback puts the originals back.
+        self._queue = deque(self._queue)
+        self._delayed = [list(entry) for entry in self._delayed]
+        if self.faults is not None:
+            trail.attrs(self.faults, "counters")
+            self.faults.counters = dict(self.faults.counters)
+        self.store._trail = self._trail = trail
+
+    @property
+    def in_checkpoint(self) -> bool:
+        return self._trail is not None
+
+    def rollback(self) -> None:
+        """Undo everything since :meth:`checkpoint`, newest first."""
+        trail = self._trail
+        if trail is None:
+            raise EvaluationError("engine has no open checkpoint")
+        # Detach first: the inverses run through the same mutators.
+        self.store._trail = self._trail = None
+        if self.recorder is not None:
+            self.recorder.checkpoint(None)
+        trail.undo()
 
     # -- public API ----------------------------------------------------------
 

@@ -124,6 +124,9 @@ class Store:
         # A cached sorted live view per table, dropped whenever a tuple
         # of that table changes liveness.
         self._sorted_cache: Dict[str, List[Tuple]] = {}
+        # The engine's undo trail while it has an open checkpoint
+        # (repro.datalog.trail); every mutator below reports to it.
+        self._trail = None
 
     def __getstate__(self):
         # Sorted views are pure caches over _tables; dropping them
@@ -131,6 +134,7 @@ class Store:
         # on first use after a restore.
         state = self.__dict__.copy()
         state["_sorted_cache"] = {}
+        state["_trail"] = None
         return state
 
     # -- queries -------------------------------------------------------------
@@ -175,6 +179,8 @@ class Store:
         ]
 
     def _note_liveness_change(self, tup: Tuple, alive: bool) -> None:
+        if self._trail is not None:
+            self._trail.call(self._note_liveness_change, tup, not alive)
         self._sorted_cache.pop(tup.table, None)
 
     def all_tuples(self) -> List[Tuple]:
@@ -212,6 +218,8 @@ class Store:
         """Add a base support; returns True if the tuple newly appeared."""
         record = self._record_for(tup)
         was_alive = record.alive
+        if self._trail is not None:
+            self._trail.attrs(record, "base_supports", "mutable", "appear_time")
         record.base_supports += 1
         if mutable is not None:
             record.mutable = mutable
@@ -225,6 +233,8 @@ class Store:
         record = self.record(tup)
         if record is None or record.base_supports <= 0:
             return False
+        if self._trail is not None:
+            self._trail.attrs(record, "base_supports")
         record.base_supports -= 1
         if not record.alive:
             self._note_liveness_change(tup, alive=False)
@@ -233,16 +243,28 @@ class Store:
 
     def add_derivation(self, derivation: Derivation, time: int) -> bool:
         """Register a derivation; returns True if the head newly appeared."""
-        self.derivations[derivation.id] = derivation
+        trail = self._trail
         record = self._record_for(derivation.head)
         was_alive = record.alive
+        if trail is not None:
+            trail.item(self.derivations, derivation.id)
+            trail.attrs(record, "appear_time")
+            trail.call(record.derivations.discard, derivation.id)
+        self.derivations[derivation.id] = derivation
         record.derivations.add(derivation.id)
         if not was_alive:
             record.appear_time = time
             self._note_liveness_change(derivation.head, alive=True)
         if derivation.revocable:
             for body_tuple in derivation.body:
-                self._dependents.setdefault(body_tuple, set()).add(derivation.id)
+                dependents = self._dependents.get(body_tuple)
+                if dependents is None:
+                    if trail is not None:
+                        trail.item(self._dependents, body_tuple)
+                    dependents = self._dependents[body_tuple] = set()
+                elif trail is not None:
+                    trail.call(dependents.discard, derivation.id)
+                dependents.add(derivation.id)
         return not was_alive
 
     def remove_derivation(self, derivation_id: int) -> bool:
@@ -250,14 +272,21 @@ class Store:
         derivation = self.derivations.get(derivation_id)
         if derivation is None or not derivation.active:
             return False
+        trail = self._trail
+        if trail is not None:
+            trail.attrs(derivation, "active")
         derivation.active = False
         for body_tuple in derivation.body:
             dependents = self._dependents.get(body_tuple)
-            if dependents is not None:
+            if dependents is not None and derivation_id in dependents:
+                if trail is not None:
+                    trail.call(dependents.add, derivation_id)
                 dependents.discard(derivation_id)
         record = self.record(derivation.head)
         if record is None:
             return False
+        if trail is not None and derivation_id in record.derivations:
+            trail.call(record.derivations.add, derivation_id)
         record.derivations.discard(derivation_id)
         if not record.alive:
             self._note_liveness_change(derivation.head, alive=False)
@@ -270,6 +299,8 @@ class Store:
             raise SchemaError(f"unknown table {tup.table!r}")
         record = table.get(tup)
         if record is None:
+            if self._trail is not None:
+                self._trail.item(table, tup)
             record = TupleRecord(tup)
             table[tup] = record
         return record

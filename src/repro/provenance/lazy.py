@@ -184,8 +184,38 @@ class LazyProvenanceGraph:
         # minimal proof tree without materializing the graph.
         self._base_live: Dict[Tuple, int] = {}
         self._live_ders: Dict[Tuple, Dict[int, int]] = {}
+        # The engine's undo trail while it has an open checkpoint.
+        self._trail = None
+
+    def __getstate__(self):
+        # A snapshot taken inside a checkpoint is a standalone state.
+        state = self.__dict__.copy()
+        state["_trail"] = None
+        return state
 
     # -- recording (called by the owning recorder) ---------------------------
+
+    def checkpoint(self, trail) -> None:
+        """Join the engine's undo trail (``None`` leaves it again).
+
+        Rollback truncates the arena and restores the cheap state entry
+        by entry; a graph materialized inside the checkpoint is simply
+        discarded (:meth:`materialize` keeps the arena meanwhile).
+        """
+        if trail is not None:
+            if self._graph is not None:
+                raise ReproError("a materialized graph cannot be checkpointed")
+            trail.attrs(self, "_graph", "_vertex_count")
+            trail.length(self._arena)
+        self._trail = trail
+
+    def _entry(self, index: dict, key, empty):
+        """``index.setdefault(key, empty())`` inside a checkpoint."""
+        entry = index.get(key)
+        if entry is None:
+            self._trail.item(index, key)
+            entry = index[key] = empty()
+        return entry
 
     @property
     def pending(self) -> bool:
@@ -203,9 +233,12 @@ class LazyProvenanceGraph:
         / is the derivation id known).
         """
         telemetry = self._recorder.telemetry if self._recorder is not None else None
+        trail = self._trail
         kind = event[0]
         if kind == "ins":
             tup = event[2]
+            if trail is not None:
+                trail.item(self._insert_counts, tup)
             self._insert_counts[tup] = self._insert_counts.get(tup, 0) + 1
             self._note_vertex(telemetry, "insert")
         elif kind == "del":
@@ -217,8 +250,15 @@ class LazyProvenanceGraph:
             else:
                 parent_edges = 1 if derivation_id in self._derive_ids else 0
             self._note_vertex(telemetry, "appear", parent_edges)
-            self._appears.setdefault(tup, []).append(time)
-            self._exists.setdefault(tup, []).append([time, None])
+            if trail is None:
+                self._appears.setdefault(tup, []).append(time)
+                self._exists.setdefault(tup, []).append([time, None])
+            else:
+                for index, value in ((self._appears, time),
+                                     (self._exists, [time, None])):
+                    entries = self._entry(index, tup, list)
+                    trail.length(entries)
+                    entries.append(value)
             self._note_vertex(telemetry, "exist", 1)
         elif kind == "dis":
             _, _, tup, time, cause_kind, derivation_id = event
@@ -238,6 +278,9 @@ class LazyProvenanceGraph:
                 # surfaced at record time rather than reconstruction.
                 raise ReproError(f"duplicate derivation id {info.id}")
             edges = sum(1 for member in info.body if self._exists.get(member))
+            if trail is not None:
+                trail.item(self._derivations, info.id)
+                trail.call(self._derive_ids.discard, info.id)
             self._derivations[info.id] = info
             self._derive_ids.add(info.id)
             self._note_vertex(telemetry, "derive", edges)
@@ -272,14 +315,19 @@ class LazyProvenanceGraph:
         minimum) makes underivation exact: the minimum over the
         survivors is the tuple's new minimal height.
         """
+        trail = self._trail
         kind = event[0]
         if kind == "ins":
             tup = event[2]
+            if trail is not None:
+                trail.item(self._base_live, tup)
             self._base_live[tup] = self._base_live.get(tup, 0) + 1
         elif kind == "del":
             tup = event[2]
             count = self._base_live.get(tup, 0)
             if count:
+                if trail is not None:
+                    trail.item(self._base_live, tup)
                 self._base_live[tup] = count - 1
         elif kind == "der":
             info = event[2]
@@ -287,11 +335,18 @@ class LazyProvenanceGraph:
                 (self._height_of(member) for member in info.body),
                 default=0,
             )
-            self._live_ders.setdefault(info.head, {})[info.id] = height
+            if trail is None:
+                self._live_ders.setdefault(info.head, {})[info.id] = height
+            else:
+                ders = self._entry(self._live_ders, info.head, dict)
+                trail.item(ders, info.id)
+                ders[info.id] = height
         elif kind == "und":
             derivation_id = event[5]
             ders = self._live_ders.get(event[2])
             if ders is not None:
+                if trail is not None and derivation_id in ders:
+                    trail.item(ders, derivation_id)
                 ders.pop(derivation_id, None)
 
     def _height_of(self, tup: Tuple) -> int:
@@ -311,6 +366,8 @@ class LazyProvenanceGraph:
             if interval[1] is None and (best is None or interval[0] > best[0]):
                 best = interval
         if best is not None:
+            if self._trail is not None:
+                self._trail.item(best, 1)
             best[1] = time
 
     # -- cheap queries (no materialization) ----------------------------------
@@ -426,8 +483,10 @@ class LazyProvenanceGraph:
                 apply_event(graph, event)
             self._graph = graph
             # The arena is fully consumed; record() applies directly
-            # to the graph from here on.
-            self._arena = []
+            # to the graph from here on.  Inside a checkpoint it is
+            # kept: rollback discards the graph and pends again.
+            if self._trail is None:
+                self._arena = []
         return graph
 
     def __getattr__(self, name):

@@ -88,6 +88,18 @@ class ProvenanceRecorder:
         state["telemetry"] = None
         return state
 
+    def checkpoint(self, trail) -> None:
+        """Join the engine's undo trail (``None`` leaves it again)."""
+        if trail is not None:
+            if self._lazy is None or self.faults is not None:
+                raise ReproError(
+                    "only a lossless annotated recorder can be checkpointed"
+                )
+            trail.attrs(self, "seen_events", "lost_events", "_clock",
+                        "_next_reported_id")
+        if self._lazy is not None:
+            self._lazy.checkpoint(trail)
+
     def _keep(self, kind: str) -> bool:
         """Whether one logged event survives; counts losses either way."""
         self.seen_events += 1

@@ -5,9 +5,9 @@ A :class:`RollbackPlan` is an ordered list of base-tuple
 diagnosis.  The planner enumerates a small deterministic candidate set
 (revert-to-reference, per-change singletons, insert-only and
 delete-only narrowings of each modification), verifies each candidate
-by replaying the bad execution with the plan applied — through the
-shared :class:`~repro.replay.cache.ReplayCache` prefix forks, and over
-:class:`~repro.replay.parallel.CandidateEvaluator` waves when
+by replaying the bad execution with the plan applied — forked off
+the execution's live replay base when the plan's fork point allows, and
+over :class:`~repro.replay.parallel.CandidateEvaluator` waves when
 ``workers > 1`` — and keeps only plans where the bad symptom is gone
 **and** every good probe still holds (:mod:`repro.repair.probes`).
 
@@ -31,10 +31,9 @@ from typing import Dict, List, Optional, Sequence
 from ..datalog.tuples import TableKind
 from ..errors import ReproError, StepLimitExceeded
 from ..faults import FaultInjector
-from ..replay.cache import ReplayCache
 from ..replay.parallel import CandidateEvaluator
 from ..replay.replayer import Change
-from .probes import Baseline, probe_suite
+from .probes import Baseline, derived_alive_state
 
 __all__ = [
     "RollbackPlan",
@@ -113,10 +112,6 @@ def _probe_plan(shared, index):
     invalidation is needed — every plan in the wave is consumed.
     """
     planner, plans = shared
-    if planner.bad.replay_cache is None:
-        # Worker-local snapshot cache: plans landing on the same worker
-        # fork from shared prefixes instead of re-deriving.
-        planner.bad.replay_cache = ReplayCache()
     return planner.verify(plans[index])
 
 
@@ -203,28 +198,37 @@ class RollbackPlanner:
 
         ``pristine`` is the bad log replayed unchanged; ``reference``
         is the bad log with the full diagnosis Δ applied — the world
-        the diagnosis already verified.  Both replays hit the shared
-        snapshot cache when one is attached, and both are dropped on
-        return.  The reference replay doubles as the verification of the
-        ``revert-to-reference`` plan, whose steps it just applied.
+        the diagnosis already verified.  Both are forks of the
+        execution's live replay base inside a diagnosis, and both are
+        dropped on return.  The reference replay doubles as the
+        verification of the ``revert-to-reference`` plan, whose steps
+        it just applied.
         """
         if self._prepared:
             return
         pristine = self.bad.replay()
         self.replays += 1
-        self._check_deadline()
-        reference = self.bad.replay(self.changes, self.anchor_index)
-        self.replays += 1
-        self.probes = probe_suite(pristine, reference, self.program)
+        # Everything read off ``pristine`` is reduced to tuple sets
+        # before the next replay: a forked result is a view that the
+        # execution's next replay invalidates.
         self.baseline = Baseline(pristine, self.program)
-        self.reference_delta = self.baseline.delta(reference)
-        self.reference_verdict = self._verdict(reference, self.reference_delta)
+        pristine_derived = derived_alive_state(pristine, self.program)
         store = pristine.engine.store
         self.counterparts = {
             change.insert: self._counterparts(store, change.insert)
             for change in self.changes
             if change.insert is not None
         }
+        del pristine, store
+        self._check_deadline()
+        reference = self.bad.replay(self.changes, self.anchor_index)
+        self.replays += 1
+        # probe_suite(pristine, reference), one side at a time.
+        self.probes = pristine_derived & derived_alive_state(
+            reference, self.program
+        )
+        self.reference_delta = self.baseline.delta(reference)
+        self.reference_verdict = self._verdict(reference, self.reference_delta)
         self._prepared = True
 
     def _counterparts(self, store, insert) -> List:

@@ -12,7 +12,6 @@ from .log import EventLog, LogEntry, estimate_size
 from .replayer import ReplayResult, replay, Change
 from .cache import ReplayCache
 from .execution import Execution
-from .checkpoints import Checkpointer
 from .parallel import CandidateEvaluator
 
 __all__ = [
@@ -24,6 +23,5 @@ __all__ = [
     "Change",
     "ReplayCache",
     "Execution",
-    "Checkpointer",
     "CandidateEvaluator",
 ]

@@ -1,37 +1,39 @@
-"""Baseline snapshot cache for deterministic replay.
+"""Cross-Session snapshot store for deterministic replay.
 
-DiffProv's inner loop replays the bad execution once per candidate
-change (Section 4.6), and every one of those replays re-derives the
-same log prefix from scratch — the dominant cost in the Figure 7 phase
-breakdown.  Because the engine is deterministic, the state reached
-after consuming a log prefix is a pure function of (program, log
-prefix, fault plan); this module checkpoints that state once and lets
-subsequent replays *fork* from the checkpoint instead of re-deriving
-it.
+Because the engine is deterministic, the state a replay reaches is a
+pure function of (program, log, fault plan, change set).  This module
+keeps such states as pickled bytes under keys that name exactly those
+inputs, for whoever replays the same log *after the current diagnosis
+is over*: another :class:`repro.api.Session` handed the same cache
+(``Session(cache=)``), or the next request served by a
+diagnosis-service worker (its warm cache).  Nothing creates a cache
+implicitly: inside one diagnosis, candidates fork off the execution's
+live replay base by checkpoint/rollback
+(:meth:`repro.replay.execution.Execution.replay`) and nothing is
+pickled at all.
 
 Two snapshot granularities share one LRU store:
 
 - **prefix snapshots** — engine/recorder state after consuming log
   entries ``[0, p)`` with no changes applied.  A replay that applies
-  changes at anchor ``a`` can fork from any prefix ``p <= fork`` where
+  changes at anchor ``a`` can start from any prefix ``p <= fork`` where
   ``fork = min(a, first occurrence of any removed tuple)`` — before
   that point the changed replay is indistinguishable from the pristine
-  one.  A prefix snapshot at ``len(log)`` doubles as the result of a
-  zero-change replay (the :meth:`repro.replay.execution.Execution.materialize`
-  fast path).
+  one.  A prefix snapshot *seeds* a live base or a from-scratch replay;
+  the one at ``len(log)`` doubles as the zero-change replay (the
+  :meth:`repro.replay.execution.Execution.materialize` fast path).
 
 - **result snapshots** — the final state of a changed replay, keyed by
-  the change set and anchor.  The round loop re-replays the committed
-  change set right after MAKEAPPEAR found it, and verification replays
-  it again — both become restores.
+  the change set and anchor.  Where evaluating Δ + suffix is not cheap
+  (MR1-D submits its job in the last log entry: ≈ 25 ms against a 7 ms
+  restore), a repeated request is served by restores alone.
 
 Snapshots are held as pickled bytes, so every fetch yields fresh object
-copies: cache consumers can mutate restored engines freely, and the
-same bytes can be shipped to worker processes
-(:mod:`repro.replay.parallel`).  Restoring is a pure speed-up — the
-unpickled state is byte-identical to the state a fresh replay would
-have reached, including mid-stream fault-injector PRNGs — so diagnoses
-are unchanged whether the cache is on, off, cold, or warm.
+copies: consumers can mutate restored engines freely.  Restoring is a
+pure speed-up — the unpickled state is byte-identical to the state a
+fresh replay would have reached, including mid-stream fault-injector
+PRNGs — so diagnoses are unchanged whether the cache is on, off, cold,
+or warm.
 
 Hit/miss/store/eviction counters are exposed via :meth:`stats` and can
 be folded into a :class:`repro.observability.MetricsRegistry` with
@@ -51,37 +53,31 @@ from __future__ import annotations
 
 import pickle
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple as PyTuple
+from typing import Dict, List, Optional
 
 from ..resilience.integrity import IntegrityError, frame, unframe
 
 __all__ = ["ReplayCache", "DEFAULT_MAX_ENTRIES"]
 
 # Snapshots are a few hundred kB each for the built-in scenarios; 64
-# entries comfortably covers a multi-round diagnosis plus an autoref
-# sweep without growing past a few tens of MB.
+# entries comfortably covers a service worker's scenario mix without
+# growing past a few tens of MB.
 DEFAULT_MAX_ENTRIES = 64
 
 
 class _Entry:
-    __slots__ = ("payload", "nbytes", "kind")
+    __slots__ = ("payload", "nbytes")
 
-    def __init__(self, payload: bytes, kind: str):
+    def __init__(self, payload: bytes):
         self.payload = payload
         self.nbytes = len(payload)
-        self.kind = kind
 
 
 class ReplayCache:
     """LRU store of pickled ``(engine, recorder)`` replay snapshots."""
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 store_results: bool = True, faults=None):
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES, faults=None):
         self.max_entries = max_entries
-        # Result snapshots trade one pickle per candidate replay for a
-        # restore whenever a change set is replayed again; disable to
-        # keep only prefix snapshots.
-        self.store_results = store_results
         # Optional FaultInjector whose corrupt_snapshot() decides which
         # stores get their framed payload damaged (the snapshot-corrupt
         # fault kind); None in production.
@@ -92,7 +88,6 @@ class ReplayCache:
         self._prefixes: Dict[tuple, List[int]] = {}
         self.hits = 0
         self.misses = 0
-        self.prefix_hits = 0
         self.stores = 0
         self.evictions = 0
         self.corrupt = 0
@@ -126,17 +121,8 @@ class ReplayCache:
         )
 
     @staticmethod
-    def _changes_key(changes) -> tuple:
-        return tuple(
-            (
-                "" if change.insert is None else str(change.insert),
-                tuple(sorted(str(t) for t in change.remove)),
-            )
-            for change in changes
-        )
-
-    @staticmethod
     def prefix_key(base_key: tuple, prefix: int) -> tuple:
+        """Key of the pristine state after log entries ``[0, prefix)``."""
         return (base_key, "prefix", prefix)
 
     @classmethod
@@ -150,12 +136,17 @@ class ReplayCache:
         key collapses onto :meth:`prefix_key` — a warm materialization
         and a warm empty replay share one snapshot.
         """
-        changes = list(changes)
         if not changes:
             return cls.prefix_key(base_key, log_length)
-        anchor = anchor_index if anchor_index is not None else 0
-        return (base_key, "result", cls._changes_key(changes),
-                min(anchor, log_length))
+        described = tuple(
+            (
+                "" if change.insert is None else str(change.insert),
+                tuple(sorted(str(t) for t in change.remove)),
+            )
+            for change in changes
+        )
+        return (base_key, "result", described,
+                min(anchor_index or 0, log_length))
 
     # -- fetch/store ---------------------------------------------------------
 
@@ -190,8 +181,6 @@ class ReplayCache:
             self._quarantine(key, entry, telemetry)
             return None
         self.hits += 1
-        if entry.kind == "prefix":
-            self.prefix_hits += 1
         if telemetry is not None:
             telemetry.inc("replay.cache.hits")
         engine.telemetry = telemetry
@@ -203,17 +192,7 @@ class ReplayCache:
     def _quarantine(self, key: tuple, entry: "_Entry", telemetry) -> None:
         """Drop a corrupt entry and count the event as a recorded miss."""
         del self._entries[key]
-        self.bytes_stored -= entry.nbytes
-        if entry.kind == "prefix":
-            base_key, _, prefix = key
-            prefixes = self._prefixes.get(base_key)
-            if prefixes is not None:
-                try:
-                    prefixes.remove(prefix)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                if not prefixes:
-                    del self._prefixes[base_key]
+        self._forget(key, entry)
         self.corrupt += 1
         self.misses += 1
         if telemetry is not None:
@@ -235,11 +214,10 @@ class ReplayCache:
             # Simulated bit rot: keep the intact header, truncate the
             # body — exactly the shape a half-written snapshot takes.
             payload = payload[: max(1, len(payload) // 2)]
-        kind = key[1]
-        self._entries[key] = _Entry(payload, kind)
+        self._entries[key] = _Entry(payload)
         self.stores += 1
         self.bytes_stored += len(payload)
-        if kind == "prefix":
+        if key[1] == "prefix":
             base_key, _, prefix = key
             prefixes = self._prefixes.setdefault(base_key, [])
             if prefix not in prefixes:
@@ -263,19 +241,22 @@ class ReplayCache:
     def _evict(self, telemetry=None) -> None:
         key, entry = self._entries.popitem(last=False)
         self.evictions += 1
-        self.bytes_stored -= entry.nbytes
-        if entry.kind == "prefix":
-            base_key, _, prefix = key
-            prefixes = self._prefixes.get(base_key)
-            if prefixes is not None:
-                try:
-                    prefixes.remove(prefix)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                if not prefixes:
-                    del self._prefixes[base_key]
+        self._forget(key, entry)
         if telemetry is not None:
             telemetry.inc("replay.cache.evictions")
+
+    def _forget(self, key: tuple, entry: "_Entry") -> None:
+        """Bookkeeping for an entry that just left ``_entries``."""
+        self.bytes_stored -= entry.nbytes
+        base_key, _, prefix = key[:3]
+        prefixes = self._prefixes.get(base_key) if key[1] == "prefix" else None
+        if prefixes is not None:
+            try:
+                prefixes.remove(prefix)
+            except ValueError:  # pragma: no cover - defensive
+                pass
+            if not prefixes:
+                del self._prefixes[base_key]
 
     # -- introspection -------------------------------------------------------
 
@@ -292,7 +273,6 @@ class ReplayCache:
             "entries": len(self._entries),
             "bytes": self.bytes_stored,
             "hits": self.hits,
-            "prefix_hits": self.prefix_hits,
             "misses": self.misses,
             "stores": self.stores,
             "evictions": self.evictions,

@@ -15,6 +15,7 @@ run in two logging modes (Section 5):
 from __future__ import annotations
 
 import time as _time
+from contextlib import nullcontext
 from typing import Iterable, Optional
 
 from ..datalog.config import EngineConfig
@@ -23,10 +24,13 @@ from ..datalog.rules import Program
 from ..datalog.tuples import Tuple
 from ..errors import ReproError
 from ..faults import FaultInjector
+from ..observability import active as _active_telemetry
 from ..provenance.graph import ProvenanceGraph
 from ..provenance.recorder import ProvenanceRecorder
 from .log import EventLog
-from .replayer import Change, ReplayResult, replay
+from .replayer import (
+    Change, ReplayResult, drive, pristine, replay, split_changes,
+)
 
 __all__ = ["Execution"]
 
@@ -65,10 +69,22 @@ class Execution:
         # replay.  The debugger attaches its own for the duration of a
         # diagnosis, so query-time replays land in the diagnosis trace.
         self.telemetry = telemetry
-        # Optional ReplayCache (repro.replay.cache): replays restore or
-        # fork from snapshots instead of re-deriving.  The debugger
-        # attaches one for the duration of a diagnosis unless disabled.
+        # Optional ReplayCache (repro.replay.cache): prefix snapshots
+        # shared across Sessions/processes that seed a replay (or the
+        # live base below) instead of re-deriving the prefix.
         self.replay_cache = replay_cache
+        # Live replay base.  While ``fork_replays`` is on (the debugger
+        # switches it on for one diagnose/repair/autoref scope, unless
+        # replay_cache=False), replay() forks candidates off one
+        # pristine (engine, recorder) parked at log position _base_at,
+        # by checkpoint and rollback, instead of re-deriving or
+        # unpickling the prefix.
+        self.fork_replays = False
+        self._base: Optional[tuple] = None
+        self._base_at = 0
+        # Bumped by every replay served from the base; a forked
+        # ReplayResult is a view that dies with its generation.
+        self._generation = 0
         self.log = EventLog()
         self._runtime_recorder = (
             ProvenanceRecorder(
@@ -111,21 +127,25 @@ class Execution:
         if self.logging_enabled:
             self.log.append("insert", tup, mutable, size)
         self.engine.insert_and_run(tup, mutable)
-        self._materialized = None
+        self._log_changed()
 
     def delete(self, tup: Tuple, size: Optional[int] = None) -> None:
         if self.logging_enabled:
             self.log.append("delete", tup, size=size)
         self.engine.delete(tup)
         self.engine.run()
-        self._materialized = None
+        self._log_changed()
 
     def barrier(self) -> None:
         """Fire aggregate rules (batch-job completion point)."""
         if self.logging_enabled:
             self.log.append("barrier", size=1)
         self.engine.fire_aggregates()
+        self._log_changed()
+
+    def _log_changed(self) -> None:
         self._materialized = None
+        self.drop_base()
 
     # -- provenance access ----------------------------------------------------
 
@@ -176,6 +196,7 @@ class Execution:
         lossless: bool = True,
     ) -> ReplayResult:
         started = _time.perf_counter()
+        changes = list(changes)
         # Bound every replay by a generous multiple of the primary run:
         # a candidate change that sends the replayed system into a loop
         # (e.g. a forwarding cycle) raises StepLimitExceeded instead of
@@ -183,32 +204,132 @@ class Execution:
         step_limit = (
             self.engine.steps * 10 + 10_000 if self.engine.steps else None
         )
-        result = replay(
-            self.program,
-            self.log,
-            changes=changes,
-            anchor_index=anchor_index,
-            faults=self.fault_plan,
-            lossless=lossless,
-            step_limit=step_limit,
-            telemetry=self.telemetry,
-            cache=self.replay_cache,
-            deadline=self.deadline,
-            engine=self.engine_config,
+        telemetry = _active_telemetry(self.telemetry)
+        cache = self.replay_cache
+        how = dict(
+            faults=self.fault_plan, lossless=lossless, step_limit=step_limit,
+            telemetry=telemetry, cache=cache, deadline=self.deadline,
         )
-        self.replay_seconds += _time.perf_counter() - started
-        self.replay_count += 1
-        return result
+        try:
+            key = None
+            if cache is not None and changes:
+                # A cache that outlives this diagnosis may already hold
+                # this very candidate (the service's repeated requests).
+                key = cache.result_key(
+                    cache.base_key(self.log, self.fault_plan, lossless, True,
+                                   self.engine_config),
+                    changes, anchor_index, len(self.log),
+                )
+                restored = cache.fetch(key, telemetry, step_limit)
+                if restored is not None:
+                    restored[0].deadline = self.deadline
+                    return ReplayResult(*restored)
+            result = None
+            if (
+                lossless
+                and self.fork_replays
+                and self.engine_config.backend == "compiled"
+                and (self.fault_plan is None or self.fault_plan.host_only())
+            ):
+                result = self._fork(changes, anchor_index, how)
+            if result is None:
+                # From scratch: the oracle path, and an owned result.
+                result = replay(
+                    self.program, self.log, changes, anchor_index,
+                    engine=self.engine_config, **how,
+                )
+            if key is not None:
+                cache.store(key, result.engine, result.recorder, telemetry)
+            return result
+        finally:
+            self.replay_seconds += _time.perf_counter() - started
+            self.replay_count += 1
+
+    def _fork(self, changes, anchor_index, how) -> Optional[ReplayResult]:
+        """Serve one replay from the live base, or ``None`` to bypass.
+
+        The base is built at the first fork point before the end of the
+        log and only ever advances; a zero-change replay is driven to
+        the end inside the checkpoint, so the base stays put for the
+        candidates that follow.  A fork below the base position — or a
+        replay that would park a new base at the end of the log —
+        bypasses it (counted as ``replay.base.bypassed``).
+        """
+        removed, inserted, anchor, fork = split_changes(
+            self.log, changes, anchor_index
+        )
+        entries = self.log.entries
+        telemetry = how["telemetry"]
+
+        def span(name, **attrs):
+            if telemetry is None:
+                return nullcontext()
+            return telemetry.span(name, **attrs)
+
+        if self._base is None and fork < len(entries):
+            with span("replay.base.build", entries=fork):
+                engine, recorder, _ = pristine(
+                    self.program, self.log, fork,
+                    config=self.engine_config, **how,
+                )
+            self._base, self._base_at = (engine, recorder), fork
+        if (
+            self._base is None
+            or fork < self._base_at
+            # With a cache, the from-scratch path restores (or stores)
+            # the zero-change replay: it is the full-length prefix.
+            or (fork == len(entries) and how["cache"] is not None)
+        ):
+            if telemetry is not None:
+                telemetry.inc("replay.base.bypassed")
+            return None
+        (engine, recorder), position = self._base, self._base_at
+        # The previous candidate dies here, whatever state it was left
+        # in (a StepLimitExceeded mid-drive included).
+        self._generation += 1
+        if engine.in_checkpoint:
+            with span("replay.rollback"):
+                engine.rollback()
+        engine.telemetry = recorder.telemetry = telemetry
+        engine.step_limit = how["step_limit"]
+        if position < fork < len(entries):
+            # Not interruptible: a half-advanced base would not be a
+            # pristine prefix.  Bounded by one pass over the log.
+            engine.deadline = None
+            with span("replay.base.build", entries=fork - position):
+                drive(engine, entries, position, fork)
+            self._base_at = position = fork
+            if telemetry is not None:
+                telemetry.inc("replay.base.advances")
+        engine.deadline = self.deadline
+        engine.checkpoint()
+        with span("replay.fork", entries=len(entries) - position,
+                  changes=len(changes)):
+            drive(engine, entries, position, len(entries),
+                  removed, inserted, anchor)
+        if telemetry is not None:
+            telemetry.inc("replay.base.forks")
+            telemetry.observe("engine.replay_steps", engine.steps)
+            if engine.faults is not None:
+                engine.faults.fold_into(telemetry)
+        return ReplayResult(engine, recorder, owner=self)
+
+    def drop_base(self) -> None:
+        """Discard the live base; outstanding forked results go stale."""
+        self._base = None
+        self._generation += 1
 
     def __getstate__(self):
         # Shipped to replay-evaluator worker processes: strip telemetry
         # (wall clocks, open spans) and the replay cache (each process
-        # keeps its own); strip the materialized result too — workers
-        # re-derive what they need, usually from their own snapshots.
+        # keeps its own); strip the materialized result and the live
+        # base too — workers re-derive what they need.  fork_replays
+        # travels: a worker's copy keeps one base for its lifetime.
         state = self.__dict__.copy()
         state["telemetry"] = None
         state["replay_cache"] = None
         state["_materialized"] = None
+        state["_base"] = None
         # Deadlines are parent-local (live clock callable); workers are
         # bounded by the evaluator's pool timeouts instead.
         state["deadline"] = None

@@ -75,11 +75,38 @@ class Change:
 
 
 class ReplayResult:
-    """A replayed execution: engine state plus reconstructed provenance."""
+    """A replayed execution: engine state plus reconstructed provenance.
 
-    def __init__(self, engine: Engine, recorder: ProvenanceRecorder):
-        self.engine = engine
-        self.recorder = recorder
+    With an ``owner`` (an Execution) this is a *view* of that
+    execution's live replay base, valid until it replays again;
+    touching it later raises :class:`ReproError` rather than silently
+    reading the next candidate's state.
+    """
+
+    def __init__(self, engine: Engine, recorder: ProvenanceRecorder,
+                 owner=None):
+        self._engine = engine
+        self._recorder = recorder
+        self._owner = owner
+        self._generation = owner._generation if owner is not None else 0
+
+    def _current(self, part):
+        owner = self._owner
+        if owner is not None and owner._generation != self._generation:
+            raise ReproError(
+                f"stale ReplayResult: {owner!r} has replayed since this "
+                f"candidate was forked off its live base; reduce a result "
+                f"to tuples before the next replay"
+            )
+        return part
+
+    @property
+    def engine(self) -> Engine:
+        return self._current(self._engine)
+
+    @property
+    def recorder(self) -> ProvenanceRecorder:
+        return self._current(self._recorder)
 
     @property
     def graph(self) -> ProvenanceGraph:
@@ -89,94 +116,51 @@ class ReplayResult:
         return self.engine.exists(tup)
 
 
-def replay(
-    program: Program,
-    log: EventLog,
-    changes: Iterable[Change] = (),
-    anchor_index: Optional[int] = None,
-    record: bool = True,
-    faults=None,
-    lossless: bool = False,
-    step_limit: Optional[int] = None,
-    telemetry=None,
-    cache=None,
-    deadline=None,
-    engine: Optional[EngineConfig] = None,
-) -> ReplayResult:
-    """Replay a log, applying ``changes`` just before ``anchor_index``.
+def split_changes(log: EventLog, changes, anchor_index: Optional[int]):
+    """``(removed, inserted, anchor, fork)`` of one changed replay.
 
-    - Removed tuples have their log insertions suppressed entirely.
-    - Inserted tuples are injected immediately before the anchor entry
-      (or at the start of the log when no anchor is given), which
-      realizes the paper's "apply the updates shortly before they are
-      needed for the first time".
-    - Each log entry is processed to a fixpoint before the next one, so
-      the replay interleaves exactly like the original execution.
-    - ``faults`` (a FaultPlan) rebuilds fresh injectors with fixed
-      purposes per replay, so every replay of the same log reproduces
-      the primary run's fault schedule.  With ``lossless=True`` the
-      engine-level message faults are still reproduced (they shaped
-      what actually happened) but the recorder is not subjected to the
-      plan's logging loss — this is the debugger-side reconstruction
-      from the lossless event log (Section 5's query-time mode).
-    - ``cache`` (a :class:`repro.replay.cache.ReplayCache`) lets the
-      replay restore a snapshotted result, or fork from the longest
-      snapshotted log prefix consistent with the change set, instead of
-      re-deriving from scratch.  The cache never changes the outcome —
-      snapshots are the pickled state of the identical computation.
-    - ``engine`` (an :class:`repro.datalog.config.EngineConfig`, a
-      backend name string, or a mapping) selects the evaluation
-      backend; the default is the compiled/annotated fast path, and
-      ``"reference"`` is the oracle.  Both produce byte-identical
-      results (the equivalence tests rely on this) — only the cost
-      changes.
+    ``fork`` is where the changed replay stops being indistinguishable
+    from the pristine one: the anchor (no insertion before it) or the
+    first mention of a removed tuple (no suppression before it),
+    whichever comes first — ``len(log)`` when nothing differs.  Up to
+    there, state can come from a prefix snapshot or a live base.
     """
-    config = EngineConfig.coerce(engine)
-    changes = list(changes)
     removed = set()
     for change in changes:
         removed.update(change.remove)
     inserted = [c.insert for c in changes if c.insert is not None]
-
-    telemetry = _active_telemetry(telemetry)
-    entries = log.entries
-    anchor = anchor_index if anchor_index is not None else 0
-
-    base_key = result_key = None
-    if cache is not None:
-        base_key = cache.base_key(log, faults, lossless, record, config)
-        result_key = cache.result_key(base_key, changes, anchor_index,
-                                      len(entries))
-        restored = cache.fetch(result_key, telemetry, step_limit)
-        if restored is not None:
-            engine, recorder = restored
-            engine.deadline = deadline
-            return ReplayResult(
-                engine, recorder if recorder is not None else ProvenanceRecorder()
-            )
-
-    # The changed replay is indistinguishable from the pristine one up
-    # to the fork point: before the anchor (no insertions yet) and
-    # before the first mention of any removed tuple (no suppression
-    # yet).  Up to there, state can come from a prefix snapshot.
-    fork = min(anchor, len(entries)) if inserted else len(entries)
+    anchor = min(anchor_index or 0, len(log.entries))
+    fork = anchor if inserted else len(log.entries)
     for tup in removed:
         occurrence = log.first_occurrence(tup)
         if occurrence is not None:
             fork = min(fork, occurrence)
+    return removed, inserted, anchor, fork
 
-    start = 0
+
+def pristine(program, log, upto, *, config, faults=None, lossless=False,
+             record=True, step_limit=None, telemetry=None, cache=None,
+             deadline=None):
+    """``(engine, recorder, start)`` with the unchanged ``entries[:upto]``
+    consumed.
+
+    With a ``cache``, the first ``start`` entries are restored from the
+    longest prefix snapshot that fits instead of driven (the cache is
+    asked exactly once, so a cold one counts its miss), and the state
+    reached is snapshotted back at ``upto`` for whoever replays this
+    log next — another Session, another request of a service worker.
+    """
     engine = recorder = None
-    if cache is not None and fork > 0:
-        prefix = cache.best_prefix(base_key, fork)
-        if prefix > 0:
-            got = cache.fetch(
-                cache.prefix_key(base_key, prefix), telemetry, step_limit
-            )
-            if got is not None:
-                engine, recorder = got
-                start = prefix
-
+    start = 0
+    if cache is not None and upto > 0:
+        base_key = cache.base_key(log, faults, lossless, record, config)
+        prefix = cache.best_prefix(base_key, upto) or upto
+        got = cache.fetch(
+            cache.prefix_key(base_key, prefix), telemetry, step_limit
+        )
+        if got is not None:
+            engine, recorder = got
+            start = prefix
     if engine is None:
         if faults is not None:
             engine_faults = FaultInjector(faults, "engine")
@@ -202,59 +186,115 @@ def replay(
             config=config,
         )
     engine.deadline = deadline
+    drive(engine, log.entries, start, upto)
+    if cache is not None and upto > start:
+        cache.store(
+            cache.prefix_key(base_key, upto), engine, recorder, telemetry
+        )
+    return engine, recorder, start
 
-    capture_at = fork if (cache is not None and fork > start) else -1
 
-    def apply_insertions():
+def drive(engine: Engine, entries, start: int, stop: int,
+          removed=(), inserted=(), anchor: int = -1) -> None:
+    """Feed ``entries[start:stop]`` to the engine, one fixpoint each.
+
+    Log mentions of ``removed`` tuples are suppressed; ``inserted``
+    tuples go in immediately before ``entries[anchor]`` (after the last
+    entry when ``anchor == stop``).
+    """
+    for index in range(start, stop):
+        if index == anchor:
+            for tup in inserted:
+                engine.insert_and_run(tup, mutable=True)
+        entry = entries[index]
+        if entry.op == "barrier":
+            engine.fire_aggregates()
+        elif entry.tuple in removed:
+            continue
+        elif entry.op == "insert":
+            engine.insert_and_run(entry.tuple, mutable=entry.mutable)
+        elif entry.op == "delete":
+            engine.delete(entry.tuple)
+            engine.run()
+        else:  # pragma: no cover - defensive
+            raise ReproError(f"unknown log op {entry.op!r}")
+    if anchor == stop:
         for tup in inserted:
             engine.insert_and_run(tup, mutable=True)
 
-    def drive():
-        applied = False
-        for index in range(start, len(entries)):
-            entry = entries[index]
-            if index == capture_at:
-                cache.store(
-                    cache.prefix_key(base_key, index), engine, recorder,
-                    telemetry,
-                )
-            if index == anchor and not applied:
-                apply_insertions()
-                applied = True
-            if entry.op == "insert":
-                if entry.tuple in removed:
-                    continue
-                engine.insert_and_run(entry.tuple, mutable=entry.mutable)
-            elif entry.op == "delete":
-                if entry.tuple in removed:
-                    continue
-                engine.delete(entry.tuple)
-                engine.run()
-            elif entry.op == "barrier":
-                engine.fire_aggregates()
-            else:  # pragma: no cover - defensive
-                raise ReproError(f"unknown log op {entry.op!r}")
-        if capture_at == len(entries):
-            cache.store(
-                cache.prefix_key(base_key, capture_at), engine, recorder,
-                telemetry,
-            )
-        if not applied:
-            apply_insertions()
+
+def replay(
+    program: Program,
+    log: EventLog,
+    changes: Iterable[Change] = (),
+    anchor_index: Optional[int] = None,
+    record: bool = True,
+    faults=None,
+    lossless: bool = False,
+    step_limit: Optional[int] = None,
+    telemetry=None,
+    cache=None,
+    deadline=None,
+    engine: Optional[EngineConfig] = None,
+) -> ReplayResult:
+    """Replay a log from scratch, applying ``changes`` at ``anchor_index``.
+
+    - Removed tuples have their log insertions suppressed entirely.
+    - Inserted tuples are injected immediately before the anchor entry
+      (or at the start of the log when no anchor is given), which
+      realizes the paper's "apply the updates shortly before they are
+      needed for the first time".
+    - Each log entry is processed to a fixpoint before the next one, so
+      the replay interleaves exactly like the original execution.
+    - ``faults`` (a FaultPlan) rebuilds fresh injectors with fixed
+      purposes per replay, so every replay of the same log reproduces
+      the primary run's fault schedule.  With ``lossless=True`` the
+      engine-level message faults are still reproduced (they shaped
+      what actually happened) but the recorder is not subjected to the
+      plan's logging loss — this is the debugger-side reconstruction
+      from the lossless event log (Section 5's query-time mode).
+    - ``cache`` (a :class:`repro.replay.cache.ReplayCache`) lets the
+      replay start from the longest snapshotted log prefix consistent
+      with the change set, and snapshots the pristine state at its own
+      fork point for whoever replays this log next.  The cache never
+      changes the outcome — snapshots are the pickled state of the
+      identical computation.
+    - ``engine`` (an :class:`repro.datalog.config.EngineConfig`, a
+      backend name string, or a mapping) selects the evaluation
+      backend; the default is the compiled/annotated fast path, and
+      ``"reference"`` is the oracle.  Both produce byte-identical
+      results (the equivalence tests rely on this) — only the cost
+      changes.
+
+    This is the oracle path: the result owns its engine.  Inside a
+    diagnosis, :meth:`repro.replay.execution.Execution.replay` serves
+    candidates from one live base instead and falls back to this.
+    """
+    config = EngineConfig.coerce(engine)
+    changes = list(changes)
+    removed, inserted, anchor, fork = split_changes(log, changes, anchor_index)
+    telemetry = _active_telemetry(telemetry)
+    entries = log.entries
+
+    def run():
+        engine, recorder, start = pristine(
+            program, log, fork, config=config, faults=faults,
+            lossless=lossless, record=record, step_limit=step_limit,
+            telemetry=telemetry, cache=cache, deadline=deadline,
+        )
+        drive(engine, entries, fork, len(entries), removed, inserted, anchor)
+        return engine, recorder, start
 
     if telemetry is None:
-        drive()
+        engine, recorder, _ = run()
     else:
-        with telemetry.span(
-            "engine.run", entries=len(entries) - start, changes=len(changes)
-        ) as span:
-            drive()
+        with telemetry.span("engine.run", changes=len(changes)) as span:
+            engine, recorder, start = run()
+            span.set("entries", len(entries) - start)
             span.set("steps", engine.steps)
         telemetry.observe("engine.replay_steps", engine.steps)
         if engine.faults is not None:
             engine.faults.fold_into(telemetry)
         if recorder is not None and recorder.faults is not None:
             recorder.faults.fold_into(telemetry)
-    if cache is not None and changes and cache.store_results:
-        cache.store(result_key, engine, recorder, telemetry)
     return ReplayResult(engine, recorder if recorder is not None else ProvenanceRecorder())

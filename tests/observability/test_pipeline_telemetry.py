@@ -35,14 +35,21 @@ class TestPipelineSpans:
         assert [r.name for r in telemetry.tracer.roots] == ["diffprov.diagnose"]
         root = telemetry.tracer.roots[0]
         assert root.attrs["success"] is True
-        # Every candidate replay nests an engine.run under diffprov.replay.
+        # Every candidate replay is a fork of the live base (the first
+        # one builds it), or — bypassing it — an engine.run from scratch.
         replays = [
             s for s in telemetry.tracer.iter_spans()
             if s.name == "diffprov.replay"
         ]
         assert replays
+        assert [c.name for c in replays[0].children] == [
+            "replay.base.build", "replay.fork",
+        ]
         for replay in replays:
-            assert any(c.name == "engine.run" for c in replay.children)
+            assert any(
+                c.name in ("replay.fork", "engine.run")
+                for c in replay.children
+            )
 
     def test_report_telemetry_section_attached(self):
         telemetry = Telemetry(clock=ManualClock())

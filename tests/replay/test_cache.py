@@ -1,9 +1,12 @@
-"""Tests for the baseline snapshot cache and the parallel evaluator.
+"""Tests for the prefix snapshot store and the parallel evaluator.
 
 The contract under test (docs/performance.md): the cache and the
 worker pool are pure speed-ups — a diagnosis is byte-identical whether
 the cache is cold, warm, or disabled, and whether candidates are
-evaluated serially or on a process pool.
+evaluated serially or on a process pool.  The bare ``replay()`` only
+ever touches *prefix* snapshots; result snapshots are looked up by
+``Execution.replay`` on an attached cache, and candidates it does not
+hold fork off a live base (tests/replay/test_fork.py).
 """
 
 import pytest
@@ -58,15 +61,40 @@ class TestAccounting:
         assert after["stores"] == before["stores"]
 
     def test_changed_replay_result_is_cached(self, forwarding_program):
+        # Result snapshots live where the cache is attached: on the
+        # execution, for whoever replays this candidate again.
+        execution = _forwarding_execution(forwarding_program)
+        execution.replay_cache = cache = ReplayCache()
+        anchor = len(execution.log) - 1
+        first = execution.replay([WIDEN], anchor_index=anchor)
+        hits, stores = cache.hits, cache.stores
+        again = execution.replay([WIDEN], anchor_index=anchor)
+        assert (cache.hits, cache.stores) == (hits + 1, stores)
+        assert again.engine is not first.engine
+        assert sorted(map(str, again.engine.store.all_tuples())) == \
+            sorted(map(str, first.engine.store.all_tuples()))
+
+    def test_changed_replay_seeds_from_its_fork_prefix(
+        self, forwarding_program
+    ):
         execution = _forwarding_execution(forwarding_program)
         cache = ReplayCache()
         anchor = len(execution.log) - 1
         replay(forwarding_program, execution.log, [WIDEN],
                anchor_index=anchor, cache=cache)
+        # WIDEN removes the tuple logged at index 1: that is the fork,
+        # and all the bare replay() stores — no result snapshot.
+        base = ReplayCache.base_key(execution.log, None, False, True,
+                                    EngineConfig.coerce(None))
+        assert list(cache._entries) == [ReplayCache.prefix_key(base, 1)]
         hits = cache.hits
-        replay(forwarding_program, execution.log, [WIDEN],
-               anchor_index=anchor, cache=cache)
-        assert cache.hits == hits + 1
+        other = Change(insert=parse_tuple("flowEntry('s1', 9, 0.0.0.0/0, 2)"))
+        for changes in ([WIDEN], [WIDEN, other]):
+            replay(forwarding_program, execution.log, changes,
+                   anchor_index=anchor, cache=cache)
+        # Different change sets, same fork: both seed from that prefix.
+        assert cache.hits == hits + 2
+        assert len(cache) == 1
 
     def test_restored_state_matches_fresh_replay(self, forwarding_program):
         execution = _forwarding_execution(forwarding_program)
@@ -167,6 +195,34 @@ class TestKeys:
         }
         assert len(keys) == 3
 
+    def test_zero_change_replay_is_the_full_prefix(self, forwarding_program):
+        execution = _forwarding_execution(forwarding_program)
+        cache = ReplayCache()
+        replay(forwarding_program, execution.log, cache=cache)
+        base = ReplayCache.base_key(execution.log, None, False, True,
+                                    EngineConfig.coerce(None))
+        full = ReplayCache.prefix_key(base, len(execution.log))
+        assert list(cache._entries) == [full]
+        # ... which also seeds any changed replay forking at the end.
+        late = Change(insert=parse_tuple("flowEntry('s1', 9, 0.0.0.0/0, 2)"))
+        replay(forwarding_program, execution.log, [late],
+               anchor_index=len(execution.log), cache=cache)
+        assert cache.hits == 1 and len(cache) == 1
+
+    def test_prefix_chosen_by_fork_point_not_by_change_set(
+        self, forwarding_program
+    ):
+        execution = _forwarding_execution(forwarding_program)
+        cache = ReplayCache()
+        other = Change(insert=parse_tuple("flowEntry('s1', 9, 0.0.0.0/0, 2)"))
+        for changes, anchor in (([other], 3), ([other], 4), ([WIDEN], 4)):
+            replay(forwarding_program, execution.log, changes,
+                   anchor_index=anchor, cache=cache)
+        # Forks at 3, 4 and 1 (WIDEN's removal is logged at 1); the
+        # fork-4 replay seeded from the prefix stored at 3.
+        assert sorted(key[2] for key in cache._entries) == [1, 3, 4]
+        assert cache.hits == 1
+
 
 class TestBackendSnapshots:
     """ColumnarStore + compiled closures must survive the pickle path.
@@ -183,26 +239,26 @@ class TestBackendSnapshots:
     ):
         execution = _forwarding_execution(forwarding_program)
         cache = ReplayCache()
-        anchor = len(execution.log) - 1
-        cold = replay(forwarding_program, execution.log, [WIDEN],
-                      anchor_index=anchor, cache=cache, engine=backend)
-        warm = replay(forwarding_program, execution.log, [WIDEN],
-                      anchor_index=anchor, cache=cache, engine=backend)
-        assert cache.hits >= 1
+        cold = replay(forwarding_program, execution.log, cache=cache,
+                      engine=backend)
+        # A warm zero-change replay is a pure restore of the
+        # full-length prefix: nothing is driven after the unpickle.
+        warm = replay(forwarding_program, execution.log, cache=cache,
+                      engine=backend)
+        assert cache.hits == 1
         assert sorted(map(str, warm.engine.store.all_tuples())) == \
             sorted(map(str, cold.engine.store.all_tuples()))
-        delivered = parse_tuple("delivered('h1', 7.7.7.7, 4.3.3.1)")
-        assert warm.engine.exists(delivered)
+        assert warm.engine.steps == cold.engine.steps
         # Closures and index buckets did not ride along in the pickle.
         assert warm.engine._compiled_plans == {}
         assert getattr(warm.engine.store, "_indexes", {}) == {}
         # The restored engine must still evaluate: push another packet
         # through the backend's join path, which rebuilds them.
         warm.engine.insert_and_run(
-            parse_tuple("packet('s1', 8.8.8.8, 4.3.3.2)")
+            parse_tuple("packet('s1', 8.8.8.8, 4.3.2.9)")
         )
         assert warm.engine.exists(
-            parse_tuple("delivered('h1', 8.8.8.8, 4.3.3.2)")
+            parse_tuple("delivered('h1', 8.8.8.8, 4.3.2.9)")
         )
         assert bool(warm.engine._compiled_plans) == (backend == "compiled")
 
