@@ -49,7 +49,66 @@ from .provenance.query import provenance_query
 from .provenance.tree import ProvenanceTree
 from .resilience import DiagnosisJournal
 
-__all__ = ["Session"]
+__all__ = ["Session", "OPTION_CHECKS", "check_option"]
+
+
+def _flag(value) -> None:
+    if not isinstance(value, bool):
+        raise ReproError("must be true or false")
+
+
+def _integer(minimum: int):
+    def check(value) -> None:
+        # bool is an int subclass; True is not a round count.
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < minimum:
+            raise ReproError(f"must be an integer >= {minimum}")
+    return check
+
+
+def _fault_spec(value) -> None:
+    if value is None or isinstance(value, FaultPlan):
+        return
+    if not isinstance(value, str):
+        raise ReproError("must be a fault-plan spec string (docs/faults.md)")
+    FaultPlan.parse(value)
+
+
+def _telemetry_switch(value) -> None:
+    if not isinstance(value, bool) and value != "manual":
+        raise ReproError('must be false, true or "manual"')
+
+
+# The tuning knobs that cross a trust boundary, each with the check its
+# value must pass: the service protocol admits a request's ``options``
+# through this table (repro.service.protocol), and Session validates
+# the knobs it takes verbatim against the same entries — one table, so
+# the two surfaces cannot drift.  ``telemetry`` is the wire form; in
+# process, Session takes a Telemetry object as well.
+OPTION_CHECKS = {
+    "max_rounds": _integer(1),
+    "minimize": _flag,
+    "taint": _flag,
+    "repair": _flag,
+    "limit": _integer(0),
+    "faults": _fault_spec,
+    "engine": EngineConfig.coerce,
+    "telemetry": _telemetry_switch,
+}
+
+
+def check_option(name: str, value) -> None:
+    """Raise :class:`ReproError` unless ``value`` suits knob ``name``."""
+    check = OPTION_CHECKS.get(name)
+    if check is None:
+        raise ReproError(
+            f"unsupported option {name!r} "
+            f"(allowed: {', '.join(sorted(OPTION_CHECKS))})"
+        )
+    try:
+        check(value)
+    except (ReproError, ValueError) as exc:
+        raise ReproError(f"option {name!r} {exc} (got {value!r})") from exc
 
 
 class Session:
@@ -177,6 +236,11 @@ class Session:
                     "explicit sessions need program, good, bad, "
                     f"good_event and bad_event (missing: {', '.join(missing)})"
                 )
+        for name, value in (
+            ("max_rounds", max_rounds), ("minimize", minimize),
+            ("taint", taint), ("repair", repair),
+        ):
+            check_option(name, value)
         if isinstance(faults, str):
             faults = FaultPlan.parse(faults)
         if telemetry is True:
@@ -293,8 +357,8 @@ class Session:
     def _attach_cache(self) -> None:
         """Hand the caller-supplied ReplayCache to both executions.
 
-        ``_replay_cache_scope`` (repro.core.diffprov) never creates a
-        cache; one it finds attached seeds the replay base and keeps
+        A run's ``RunContext.scope`` (repro.core.harness) never creates
+        a cache; one it finds attached seeds the replay base and keeps
         results, which is how warmth survives across diagnose() calls
         and across Sessions sharing one cache.
         """
@@ -412,6 +476,7 @@ class Session:
         session's ``workers`` setting, the journal knobs (rejected
         candidates are skipped on resume) and the deadline.
         """
+        check_option("limit", limit)
         self.setup()
         with self._journal_scope("autoref", resume_from, limit=limit):
             return auto_diagnose(

@@ -19,10 +19,9 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..datalog.tuples import Tuple
-from ..faults import FaultInjector
-from ..replay.parallel import CandidateEvaluator
-from ..resilience import Deadline
-from .diffprov import DiffProv, DiffProvOptions, _replay_cache_scope
+from ..errors import DeadlineExceeded
+from .diffprov import DiffProv, DiffProvOptions
+from .harness import RunContext
 from .report import DiagnosisReport
 
 __all__ = ["ReferenceCandidate", "AutoReferenceResult", "auto_diagnose",
@@ -135,17 +134,26 @@ def propose_stream_references(
 
 
 def _probe_reference(shared, index):
-    """Worker-side diagnosis of one candidate reference.
+    """Diagnose the bad event against candidate reference ``index``.
 
-    Runs on a pickled clone of the executions (telemetry stripped);
-    the returned report is what a serial diagnosis of the same
-    candidate would produce, minus the telemetry section.
+    Inline this is the live diagnosis; on a pool worker it runs on a
+    pickled clone of the executions whose run context shed telemetry,
+    journal and deadline — the returned report is what a serial
+    diagnosis of the same candidate produces, minus the telemetry
+    section.
     """
-    program, good_execution, bad_execution, bad_event, options, events = shared
-    debugger = DiffProv(program, options)
-    return debugger.diagnose(
+    program, good_execution, bad_execution, bad_event, run, events = shared
+    return DiffProv(program, run.options).diagnose(
         good_execution, bad_execution, events[index], bad_event
     )
+
+
+def _accepted(report: DiagnosisReport) -> bool:
+    return report.success and report.num_changes > 0
+
+
+def _rejected(verdict) -> bool:
+    return verdict is False
 
 
 def auto_diagnose(
@@ -171,172 +179,51 @@ def auto_diagnose(
     list are identical to the serial sweep — candidates beyond the
     winner are discarded unread (docs/performance.md).
     """
-    debugger = DiffProv(program, options)
-    opts = debugger.options
-    if workers is None:
-        workers = getattr(opts, "workers", 1) or 1
-    journal = getattr(opts, "journal", None)
-    # Normalize the budget once so every candidate diagnosis shares the
-    # sweep's end-to-end deadline (a raw seconds value would otherwise
-    # restart per candidate); the original options value is restored.
-    saved_deadline = getattr(opts, "deadline", None)
-    deadline = Deadline.of(saved_deadline)
-    opts.deadline = deadline
+    opts = options or DiffProvOptions()
+    run = RunContext(opts, workers=workers)
+    # Every candidate diagnosis shares the sweep's end-to-end deadline
+    # (a raw seconds value would otherwise restart per candidate); the
+    # original options value is restored.
+    saved_deadline = opts.deadline
+    opts.deadline = run.deadline
     try:
-        graph = good_execution.graph
-        candidates = propose_references(graph, bad_event, limit)
+        candidates = propose_references(
+            good_execution.graph, bad_event, limit
+        )
+        events = [candidate.event for candidate in candidates]
         tried: List[ReferenceCandidate] = []
+        report = reference = None
         stopped_early = False
-        if (
-            workers > 1
-            and len(candidates) > 1
-            and not (journal is not None and journal.has_verdicts)
-        ):
-            # Shipped inside the scope, the executions keep
-            # fork_replays: each worker serves every candidate it
-            # diagnoses from one live base per execution.
-            with _replay_cache_scope(opts, good_execution, bad_execution):
-                result = _auto_diagnose_parallel(
-                    program, good_execution, bad_execution, bad_event,
-                    opts, candidates, workers, journal, deadline,
-                )
-            if result is not None:
-                return result
-            # Unpicklable context: fall through to the serial sweep.
         # One live base per execution serves the whole sweep: every
         # candidate diagnosis replays the same logs, so later candidates
-        # fork off what the first one derived.
-        with _replay_cache_scope(opts, good_execution, bad_execution):
-            for candidate in candidates:
-                if deadline is not None and deadline.expired:
-                    stopped_early = True
-                    break
-                key = str(candidate.event)
-                if journal is not None:
-                    verdict = journal.lookup("autoref", key)
-                    if verdict is False:
-                        # A previous run already diagnosed and rejected
-                        # this candidate; skip its whole diagnosis.  A
-                        # recorded winner is re-diagnosed fresh — its
-                        # report is needed, and re-running it yields
-                        # the byte-identical one.
-                        tried.append(candidate)
-                        continue
-                tried.append(candidate)
-                report = debugger.diagnose(
-                    good_execution, bad_execution, candidate.event, bad_event
-                )
-                accepted = report.success and report.num_changes > 0
-                if journal is not None:
-                    journal.record("autoref", key, accepted)
-                if accepted:
-                    return AutoReferenceResult(
-                        report, candidate.event, tried,
-                        resilience=_sweep_resilience(
-                            journal, deadline, stopped_early
-                        ),
-                    )
+        # fork off what the first one derived (on a worker: for every
+        # candidate it is handed).
+        with run.scope(good_execution, bad_execution):
+            try:
+                # A candidate a previous run diagnosed and *rejected* is
+                # skipped outright; a recorded winner is re-diagnosed —
+                # its report is needed, and re-running it yields the
+                # byte-identical one.
+                for index, verdict in run.sweep(
+                    "autoref",
+                    _probe_reference,
+                    (program, good_execution, bad_execution, bad_event,
+                     run, events),
+                    len(events),
+                    keys=[str(event) for event in events],
+                    journaled=_accepted,
+                    reuse=_rejected,
+                    width=run.workers,
+                ):
+                    tried.append(candidates[index])
+                    if not _rejected(verdict) and _accepted(verdict):
+                        report, reference = verdict, events[index]
+                        break
+            except DeadlineExceeded:
+                stopped_early = True
         return AutoReferenceResult(
-            None, None, tried,
-            resilience=_sweep_resilience(journal, deadline, stopped_early),
+            report, reference, tried,
+            resilience=run.resilience_section(stopped_early),
         )
     finally:
         opts.deadline = saved_deadline
-
-
-def _auto_diagnose_parallel(
-    program, good_execution, bad_execution, bad_event, options,
-    candidates, workers, journal=None, deadline=None,
-) -> Optional[AutoReferenceResult]:
-    """Speculative wave evaluation of the candidate sweep.
-
-    Each wave diagnoses the next ``workers`` candidates concurrently;
-    the results are read in ranking order and the first success wins,
-    exactly as in the serial sweep.  Returns None when the executions
-    cannot be shipped to workers.
-    """
-    telemetry = getattr(options, "telemetry", None) if options else None
-    plan = getattr(options, "faults", None) if options else None
-    evaluator = CandidateEvaluator(
-        workers,
-        telemetry,
-        policy=getattr(options, "resilience", None) if options else None,
-        faults=(
-            FaultInjector(plan, "evaluator")
-            if plan is not None and plan.worker_crash > 0.0
-            else None
-        ),
-    )
-    events = [candidate.event for candidate in candidates]
-    shared = (program, good_execution, bad_execution, bad_event, options,
-              events)
-    tried: List[ReferenceCandidate] = []
-    stopped_early = False
-
-    def _result(report, reference):
-        return AutoReferenceResult(
-            report, reference, tried,
-            resilience=_sweep_resilience(
-                journal, deadline, stopped_early, evaluator
-            ),
-        )
-
-    for wave_start in range(0, len(candidates), workers):
-        if deadline is not None and deadline.expired:
-            stopped_early = True
-            break
-        wave = candidates[wave_start : wave_start + workers]
-        results = evaluator.evaluate(
-            _ProbeWindow(_probe_reference, wave_start), shared, len(wave)
-        )
-        if results is None:
-            return None if not tried else _result(None, None)
-        for candidate, (status, value) in zip(wave, results):
-            tried.append(candidate)
-            if status == "err":
-                raise value
-            accepted = value.success and value.num_changes > 0
-            if journal is not None:
-                journal.record("autoref", str(candidate.event), accepted)
-            if accepted:
-                return _result(value, candidate.event)
-    return _result(None, None)
-
-
-def _sweep_resilience(journal, deadline, stopped_early, evaluator=None):
-    """Sweep-level resilience section; None when nothing was active."""
-    section: dict = {}
-    if journal is not None:
-        section["journal"] = {
-            "path": journal.path,
-            "resumed": journal.resumed,
-            "skipped_candidates": journal.skipped,
-            "entries_written": journal.writes,
-        }
-    if evaluator is not None:
-        counters = {k: v for k, v in evaluator.counters().items() if v}
-        if counters:
-            section["evaluator"] = counters
-    if deadline is not None:
-        section["deadline"] = {
-            "seconds": deadline.seconds,
-            "expired": deadline.expired,
-            "slack_s": round(deadline.timeout(), 3),
-        }
-    if stopped_early:
-        section["stopped_early"] = True
-    return section or None
-
-
-class _ProbeWindow:
-    """Offsets a probe's job index into a larger candidate list, so
-    every wave can share one ``shared`` tuple holding all candidates."""
-
-    __slots__ = ("func", "offset")
-
-    def __init__(self, func, offset: int):
-        self.func = func
-        self.offset = offset
-
-    def __call__(self, shared, index: int):
-        return self.func(shared, index + self.offset)

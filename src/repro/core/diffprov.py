@@ -16,13 +16,16 @@ The implementation follows the paper's three-step structure:
 Using the good tree as a guide reduces an exponential search over
 combinations of base-tuple changes to a walk that is linear in the size
 of the good tree (Section 4.7).
+
+This file is the algorithm plus the degradation predicates interleaved
+with it.  What records or bounds a run — journal, deadline, telemetry,
+fault injectors, the candidate pool — is :mod:`repro.core.harness`,
+reached here only through ``self.run`` (docs/algorithm.md maps each
+Section 4.x to its function).
 """
 
 from __future__ import annotations
 
-import hashlib as _hashlib
-import time as _time
-from contextlib import contextmanager, nullcontext
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..datalog.engine import match_atom
@@ -33,23 +36,17 @@ from ..errors import (
     DeadlineExceeded,
     DiagnosisFailure,
     EvaluationError,
-    FaultError,
     ImmutableChangeRequired,
     NonInvertibleError,
-    ReproError,
     SeedTypeMismatch,
     StepLimitExceeded,
 )
-from ..faults import FaultInjector
-from ..observability import active as _active_telemetry
-from ..provenance.distributed import PartitionedProvenance
 from ..provenance.query import provenance_query
 from ..provenance.tree import TupleNode
 from ..replay.execution import Execution
-from ..replay.parallel import CandidateEvaluator
 from ..replay.replayer import Change, ReplayResult
-from ..resilience import Deadline
 from .equivalence import EquivalenceRelation
+from .harness import RunContext
 from .repair import repair_condition
 from .report import DiagnosisReport, RoundInfo
 from .seeds import find_seed
@@ -151,21 +148,6 @@ class DiffProvOptions:
         # synthesis inside the loop itself.
         self.repair = repair
 
-    def __getstate__(self):
-        # Shipped to worker processes along with the diagnosis state;
-        # telemetry (wall clocks, open spans), the journal (an open
-        # fsync'd file handle), and the deadline (a live clock
-        # callable) stay behind.
-        state = {name: getattr(self, name) for name in self.__slots__}
-        state["telemetry"] = None
-        state["journal"] = None
-        state["deadline"] = None
-        return state
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
-
 
 class DiffProv:
     """A differential provenance debugger for one NDlog program."""
@@ -189,74 +171,28 @@ class DiffProv:
     ) -> DiagnosisReport:
         """Run the full DiffProv loop; never raises diagnosis failures —
         they come back as a typed failure report (Section 4.7)."""
-        timings: Dict[str, float] = {}
-        telemetry = _active_telemetry(self.options.telemetry)
-        state = _DiagnosisState(self, good, bad, timings, telemetry)
-        with _replay_cache_scope(self.options, good, bad) as cache:
-            state.replay_cache = cache
-            with _deadline_scope(state.deadline, good, bad):
-                return self._diagnose(state, good, bad, good_event,
-                                      bad_event, good_time, bad_time,
-                                      telemetry)
-
-    def _diagnose(
-        self, state, good, bad, good_event, bad_event, good_time, bad_time,
-        telemetry,
-    ) -> DiagnosisReport:
-        if telemetry is None:
+        run = RunContext(self.options)
+        state = _DiagnosisState(self.program, run, good, bad)
+        with run.scope(good, bad):
             try:
-                report = state.run(good_event, bad_event, good_time, bad_time)
-                state.maybe_repair(report)
-            except (
-                DeadlineExceeded,
-                DiagnosisFailure,
-                NonInvertibleError,
-                StepLimitExceeded,
-            ) as failure:
-                report = state.failure_report(failure)
-            report.resilience = state.resilience_section()
-            state.journal_result(report)
-            return report
-        # Attach the diagnosis telemetry to both executions for the
-        # duration of the run, so every query-time replay they perform
-        # lands inside the diagnosis span tree.  Execution stand-ins
-        # (the MapReduce runtime, the network emulator) that don't
-        # carry telemetry are left alone — their replays simply don't
-        # contribute engine spans.
-        saved_good = getattr(good, "telemetry", None)
-        saved_bad = getattr(bad, "telemetry", None)
-        if hasattr(good, "telemetry"):
-            good.telemetry = telemetry
-        if hasattr(bad, "telemetry"):
-            bad.telemetry = telemetry
-        try:
-            try:
-                with telemetry.span(
+                with run.span(
                     "diffprov.diagnose", good=good.name, bad=bad.name
                 ) as root:
-                    report = state.run(
+                    report = state.diagnose(
                         good_event, bad_event, good_time, bad_time
                     )
-                    state.maybe_repair(report)
-                    root.set("success", report.success)
-                    root.set("rounds", len(report.rounds))
+                    run.maybe_repair(state, report)
+                    if root is not None:
+                        root.set("success", report.success)
+                        root.set("rounds", len(report.rounds))
             except (
                 DeadlineExceeded,
                 DiagnosisFailure,
                 NonInvertibleError,
                 StepLimitExceeded,
             ) as failure:
-                report = state.failure_report(failure)
-        finally:
-            if hasattr(good, "telemetry"):
-                good.telemetry = saved_good
-            if hasattr(bad, "telemetry"):
-                bad.telemetry = saved_bad
-        state.fold_metrics()
-        report.telemetry = telemetry.report_section()
-        report.resilience = state.resilience_section()
-        state.journal_result(report)
-        return report
+                report = state.report(False, failure)
+            return run.finish(state, report)
 
     # Convenience: the vertex-count comparison used by Table 1.
     def tree_sizes(
@@ -271,98 +207,22 @@ class DiffProv:
         return good_tree.size(), bad_tree.size()
 
 
-@contextmanager
-def _replay_cache_scope(options, good, bad):
-    """Let both executions fork candidate replays for one run.
-
-    For the duration each execution owns one live replay base
-    (``Execution.fork_replays``); it belongs to the outermost scope (one
-    ``diagnose()``, one autoref sweep) and is dropped when that exits.
-    A :class:`~repro.replay.cache.ReplayCache` the caller attached (a
-    ``Session(cache=)``, a service worker's warm cache) stays attached;
-    none is created here.  With ``options.replay_cache`` false, forking
-    is off and any attached cache is detached — every replay
-    re-derives, the explicit off switch wins.  Stand-ins without these
-    attributes are left alone; previous values are always restored.
-    Yields the attached cache (or None).
-    """
-    targets = [
-        execution
-        for execution in ([good] if good is bad else [good, bad])
-        if hasattr(execution, "replay_cache")
-    ]
-    enabled = getattr(options, "replay_cache", True)
-    saved = [
-        (execution, execution.replay_cache, execution.fork_replays)
-        for execution in targets
-    ]
-    cache = None
-    for execution in targets:
-        execution.fork_replays = enabled
-        if not enabled:
-            execution.replay_cache = None
-        elif cache is None:
-            cache = execution.replay_cache
-    plan = getattr(options, "faults", None)
-    armed = (
-        cache is not None and cache.faults is None
-        and plan is not None and plan.snapshot_corrupt > 0.0
-    )
-    if armed:
-        # The snapshot-corrupt fault kind damages what this run stores.
-        cache.faults = FaultInjector(plan, "snapshot")
-    try:
-        yield cache
-    finally:
-        if armed:
-            cache.faults = None
-        for execution, previous, forking in saved:
-            execution.replay_cache = previous
-            execution.fork_replays = forking
-            if not forking:
-                execution.drop_base()
-
-
-@contextmanager
-def _deadline_scope(deadline, good, bad):
-    """Attach the diagnosis deadline to both executions for one run.
-
-    Every query-time replay they perform then checks the shared budget
-    from inside the engine's step loop.  Stand-ins without a
-    ``deadline`` attribute are left alone; the previous value is always
-    restored.
-    """
-    targets = [
-        execution
-        for execution in ([good] if good is bad else [good, bad])
-        if hasattr(execution, "deadline")
-    ]
-    saved = [(execution, execution.deadline) for execution in targets]
-    if deadline is not None:
-        for execution in targets:
-            execution.deadline = deadline
-    try:
-        yield
-    finally:
-        for execution, previous in saved:
-            execution.deadline = previous
-
-
 def _probe_minimize_trial(shared, index):
-    """Worker-side evaluation of one minimality trial.
+    """Whether the trees still align under minimality trial ``index``.
 
-    Runs in a forked process (or on a pickled clone inline — see
-    :class:`repro.replay.parallel.CandidateEvaluator`), so nothing it
-    touches leaks back to the diagnosing process.  The parallel path is
-    only taken on non-degraded runs without a fault plan, where
-    ``_find_divergence`` is a pure function of the replayed state.
+    The candidate probe of :meth:`_DiagnosisState._minimize`: inline it
+    runs on the live diagnosis state; on a pool worker, on the shipped
+    clone (whose execution kept ``fork_replays``, so trials landing on
+    one worker fork off one live base for its lifetime).
     """
     state, path, good_root, anchor_index, trials = shared
-    # The shipped execution kept fork_replays: trials landing on the
-    # same worker fork off one live base for the worker's lifetime.
-    replayed = state.bad.replay(trials[index], anchor_index)
+    with state.run.timed("replay"):
+        replayed = state.bad.replay(trials[index], anchor_index)
     anchor_time = state._anchor_time(replayed)
-    divergent = state._find_divergence(path, good_root, replayed, anchor_time)
+    with state.run.timed("minimize"):
+        divergent = state._find_divergence(
+            path, good_root, replayed, anchor_time
+        )
     return divergent is None
 
 
@@ -370,20 +230,13 @@ class _DiagnosisState:
     """Mutable state of one diagnose() call."""
 
     def __init__(
-        self,
-        debugger: DiffProv,
-        good: Execution,
-        bad: Execution,
-        timings,
-        telemetry=None,
+        self, program: Program, run: RunContext, good: Execution, bad: Execution
     ):
-        self.debugger = debugger
-        self.program = debugger.program
-        self.options = debugger.options
+        self.program = program
+        # The run harness: journal, deadline, telemetry, candidate pool.
+        self.run = run
         self.good = good
         self.bad = bad
-        self.timings = timings
-        self.telemetry = telemetry
         self.changes: List[Change] = []
         self.rounds: List[RoundInfo] = []
         self.good_tree_size = 0
@@ -394,7 +247,6 @@ class _DiagnosisState:
         self.replays = 0
         # Degradation machinery (active only under a fault plan or a
         # lossy provenance graph).
-        self.fault_plan = self.options.faults
         self.distributed_stats: Dict[str, object] = {}
         self.unknowns: List[Tuple] = []
         self._unknown_set: Set[Tuple] = set()
@@ -402,61 +254,31 @@ class _DiagnosisState:
         self.partial_verify = False
         self.recovered = False
         self.lost_log_events = 0
-        # The caller's ReplayCache seeding this run's replays, if any.
-        self.replay_cache = None
-        # Resilience machinery (docs/resilience.md).
-        self.journal = self.options.journal
-        self.deadline = Deadline.of(self.options.deadline)
-        self.evaluator_counters: Dict[str, int] = {}
-        # Set when the budget ran out inside the (optional) minimize
-        # pass — the diagnosis still succeeds with a non-minimal Δ.
-        self.deadline_expired_in: Optional[str] = None
-        # The queried events, recorded by run(); they namespace journal
-        # verdict keys so an autoref sweep (many diagnoses, one
+        # The queried events, recorded by diagnose(); they namespace
+        # journal verdict keys so an autoref sweep (many diagnoses, one
         # journal) never cross-reads another candidate's verdicts.
         self.good_event: Optional[Tuple] = None
         self.bad_event: Optional[Tuple] = None
-        # The bad seed's log anchor, recorded by run() for the
+        # The bad seed's log anchor, recorded by diagnose() for the
         # post-diagnosis rollback planner (repro.repair).
         self.anchor_index: Optional[int] = None
 
-    def __getstate__(self):
-        # Shipped to candidate-evaluator workers: telemetry, the
-        # parent's snapshot cache, the journal (open file handle), and
-        # the deadline (live clock) stay behind.
-        state = self.__dict__.copy()
-        state["telemetry"] = None
-        state["replay_cache"] = None
-        state["journal"] = None
-        state["deadline"] = None
-        return state
-
-    @contextmanager
-    def _timed(self, key: str):
-        started = _time.perf_counter()
-        span = (
-            self.telemetry.span("diffprov." + key)
-            if self.telemetry is not None
-            else nullcontext()
-        )
-        with span:
-            try:
-                yield
-            finally:
-                self.timings[key] = (
-                    self.timings.get(key, 0.0) + _time.perf_counter() - started
-                )
+    @property
+    def options(self) -> DiffProvOptions:
+        return self.run.options
 
     # ------------------------------------------------------------------
     # Main loop.
     # ------------------------------------------------------------------
 
-    def run(self, good_event, bad_event, good_time, bad_time) -> DiagnosisReport:
+    def diagnose(
+        self, good_event, bad_event, good_time, bad_time
+    ) -> DiagnosisReport:
         self.good_event = good_event
         self.bad_event = bad_event
-        self._journal_phase("query")
-        self._check_deadline("query")
-        with self._timed("query"):
+        run = self.run
+        run.phase("query")
+        with run.timed("query"):
             good_result = self.good.materialize()
             if self.bad is self.good:
                 bad_result = good_result
@@ -488,8 +310,8 @@ class _DiagnosisState:
             self.good_tree_size = good_tree.size()
             self.bad_tree_size = bad_tree.size()
 
-        self._journal_phase("find_seed")
-        with self._timed("find_seed"):
+        run.phase("find_seed")
+        with run.timed("find_seed"):
             self.good_seed = find_seed(good_tree.tuple_root)
             self.bad_seed = find_seed(bad_tree.tuple_root)
         self._check_seed_recoverable("good", self.good, self.good_seed)
@@ -500,7 +322,7 @@ class _DiagnosisState:
         ):
             raise SeedTypeMismatch(self.good_seed.tuple, self.bad_seed.tuple)
 
-        with self._timed("divergence"):
+        with run.timed("divergence"):
             annotation = TaintAnnotation(
                 self.program,
                 good_tree.tuple_root,
@@ -531,30 +353,30 @@ class _DiagnosisState:
         rounds_used = 0
         iterations = 0
         iteration_cap = self.options.max_rounds * 10
-        self._journal_phase("rounds")
+        run.phase("rounds")
         while rounds_used < self.options.max_rounds:
             iterations += 1
             if iterations > iteration_cap:
                 break
-            self._check_deadline("rounds")
+            run.check("rounds")
             anchor_time = self._anchor_time(replayed)
-            with self._timed("divergence"):
+            with run.timed("divergence"):
                 divergent = self._find_divergence(
                     path, good_tree.tuple_root, replayed, anchor_time
                 )
             if divergent is None:
                 if self.options.minimize and self.changes:
-                    self._journal_phase("minimize")
                     try:
+                        run.phase("minimize")
                         self._minimize(path, good_tree.tuple_root,
                                        anchor_index)
                     except DeadlineExceeded:
                         # Out of budget mid-minimization: the change
                         # set is already a verified (if non-minimal)
                         # diagnosis, so report it rather than failing.
-                        self.deadline_expired_in = "minimize"
-                return self._success_report(anchor_index)
-            with self._timed("make_appear"):
+                        run.expired_in = "minimize"
+                return self.report(True)
+            with run.timed("make_appear"):
                 new_changes: List[Change] = []
                 self._make_appear(divergent, replayed, anchor_time, new_changes)
             if not new_changes and self._degradable(replayed):
@@ -576,8 +398,7 @@ class _DiagnosisState:
                     new_changes,
                 )
             )
-            if self.journal is not None:
-                self.journal.round(rounds_used, new_changes)
+            run.round(rounds_used, new_changes)
             if not new_changes:
                 raise DiagnosisFailure(
                     f"no further changes found, but trees still diverge at "
@@ -585,71 +406,19 @@ class _DiagnosisState:
                     f"{self.equiv.expected_tuple(divergent)}); the system may "
                     f"be non-deterministic at this point"
                 )
-            with self._timed("replay"):
+            with run.timed("replay"):
                 replayed = self.bad.replay(self.changes, anchor_index)
                 self.replays += 1
-        return self.failure_report(None)
+        return self.report(False)
 
     # ------------------------------------------------------------------
     # Fault awareness / graceful degradation.
     # ------------------------------------------------------------------
 
     def _query_tree(self, graph, event, time, side):
-        """Initial provenance query over the partitioned store.
-
-        Every query goes through :class:`PartitionedProvenance`, so the
-        distribution accounting (vertexes fetched, nodes contacted) in
-        ``self.distributed_stats[side]`` is populated on healthy runs
-        too, not just degraded ones.  Under a fault plan the fetches
-        become fallible, and failures that would be uncaught crashes
-        (root unreachable, event lost from the log) become typed
-        diagnosis failures instead.
-        """
-        telemetry = self.telemetry
-        faults = (
-            FaultInjector(self.fault_plan, f"fetch-{side}")
-            if self.fault_plan is not None
-            else None
-        )
-        partitioned = PartitionedProvenance(
-            graph, faults=faults, telemetry=telemetry,
-            deadline=self.deadline,
-        )
-        span = (
-            telemetry.span("provenance.query", side=side, event=str(event))
-            if telemetry is not None
-            else nullcontext()
-        )
-        with span:
-            if faults is None:
-                tree, stats = partitioned.query(event, time)
-            else:
-                try:
-                    tree, stats = partitioned.query(event, time)
-                except DeadlineExceeded:
-                    # Budget expiry is not a fault outcome — let it
-                    # reach the partial-report handler untranslated.
-                    raise
-                except (FaultError, ReproError) as exc:
-                    raise DiagnosisFailure(
-                        f"{side} provenance could not be materialized under "
-                        f"faults: {exc}"
-                    )
+        """Project one side's initial tree, noting what the query lost."""
+        tree, stats = self.run.query_tree(graph, event, time, side)
         self.distributed_stats[side] = stats
-        if telemetry is not None:
-            telemetry.fold_counters(
-                f"distributed.{side}",
-                {
-                    "vertices_fetched": stats.vertices_fetched,
-                    "cross_node_fetches": stats.cross_node_fetches,
-                    "nodes_contacted": len(stats.nodes_contacted),
-                    "timeouts": stats.timeouts,
-                    "retries": stats.retries,
-                    "failed_fetches": stats.failed_fetches,
-                },
-            )
-            if faults is not None:
-                faults.fold_into(telemetry)
         if stats.degraded:
             self.partial_verify = True
             for parent, child in stats.missing_subtrees:
@@ -736,35 +505,40 @@ class _DiagnosisState:
         runtime, making its removal unnecessary).  A candidate is kept
         only if the trees stop aligning without it.
 
-        With ``options.workers > 1`` the candidate trials are evaluated
-        speculatively on a process pool, wave by wave; results are
-        consumed in the serial order and re-derived after every commit,
-        so the surviving change set (and the replay count) is identical
-        to the serial pass.  Degraded runs stay serial — there,
-        divergence checks mutate diagnosis state and order matters.
+        The trials of every remaining change go to one candidate sweep
+        (:meth:`RunContext.sweep`), which hands back verdicts in serial
+        order however it obtained them.  The first aligned trial is
+        committed; the trials after it were built against the old
+        change set, so they are re-derived and swept afresh.
         """
         pending = list(self.changes)
+        pure = self._verdicts_pure()
         position = 0
-        if (
-            self.options.workers > 1
-            and len(pending) > 1
-            and (self.fault_plan is None or self.fault_plan.host_only())
-            and not self._degraded()
-            and not (self.journal is not None and self.journal.has_verdicts)
-        ):
-            # Host-only fault plans (worker-crash, snapshot-corrupt)
-            # keep replays deterministic, so the parallel pass stays
-            # correct — and is exactly what exercises the evaluator's
-            # self-healing.  A resumed journal forces the serial path:
-            # recorded verdicts are consumed in their recorded order.
-            position = self._minimize_parallel(
-                path, good_root, anchor_index, pending
-            )
-        for change in pending[position:]:
-            self._check_deadline("minimize")
-            for trial in self._alternatives(change):
-                if self._aligned_with(trial, path, good_root, anchor_index):
-                    self.changes = trial
+        while position < len(pending):
+            trials: List[List[Change]] = []
+            owners: List[int] = []
+            for offset, change in enumerate(pending[position:], position):
+                for trial in self._alternatives(change):
+                    trials.append(trial)
+                    owners.append(offset)
+            position = len(pending)
+            for index, aligned in self.run.sweep(
+                "minimize",
+                _probe_minimize_trial,
+                (self, path, good_root, anchor_index, trials),
+                len(trials),
+                keys=[
+                    f"{self.good_event}~{self.bad_event}@{anchor_index}|"
+                    + "|".join(change.describe() for change in trial)
+                    for trial in trials
+                ] if pure else None,
+                pool=pure and len(pending) > 1,
+                counter=self,
+                time_waves=True,
+            ):
+                if aligned:
+                    self.changes = trials[index]
+                    position = owners[index] + 1
                     break
 
     def _alternatives(self, change) -> List[List[Change]]:
@@ -776,260 +550,20 @@ class _DiagnosisState:
             )
         return alternatives
 
-    def _minimize_parallel(
-        self, path, good_root, anchor_index, pending
-    ) -> int:
-        """Wave-based speculative evaluation of minimality trials.
-
-        Every remaining change's trials are evaluated concurrently
-        against the current change set; the results are then consumed
-        in serial order.  The first commit invalidates the rest of the
-        wave (their trials were built against a stale change set), so
-        the next wave re-derives them — byte-identical outcomes at the
-        price of some discarded speculative work.  Returns how many of
-        ``pending`` were fully processed; the serial pass finishes the
-        rest (non-zero only when the context cannot be pickled).
-        """
-        faults = (
-            FaultInjector(self.fault_plan, "evaluator")
-            if self.fault_plan is not None
-            else None
-        )
-        evaluator = CandidateEvaluator(
-            self.options.workers,
-            self.telemetry,
-            policy=self.options.resilience,
-            faults=faults,
-        )
-        position = 0
-        try:
-            while position < len(pending):
-                self._check_deadline("minimize")
-                wave = [
-                    (change, self._alternatives(change))
-                    for change in pending[position:]
-                ]
-                trials = [
-                    trial for _, alternatives in wave for trial in alternatives
-                ]
-                shared = (self, path, good_root, anchor_index, trials)
-                with self._timed("minimize"):
-                    results = evaluator.evaluate(
-                        _probe_minimize_trial, shared, len(trials)
-                    )
-                if results is None:
-                    # Context not picklable (e.g. an execution stand-in);
-                    # the serial pass picks up from here.
-                    return position
-                cursor = 0
-                committed = False
-                for change, alternatives in wave:
-                    outcomes = results[cursor : cursor + len(alternatives)]
-                    cursor += len(alternatives)
-                    position += 1
-                    chosen = None
-                    for trial, (status, value) in zip(alternatives, outcomes):
-                        # Mirror the serial accounting: one replay per
-                        # trial actually consumed, stopping at the first
-                        # success.
-                        self.replays += 1
-                        if status == "err":
-                            raise value
-                        if self.journal is not None:
-                            self.journal.record(
-                                "minimize",
-                                self._minimize_key(trial, anchor_index),
-                                bool(value),
-                            )
-                        if value:
-                            chosen = trial
-                            break
-                    if chosen is not None:
-                        self.changes = chosen
-                        committed = True
-                        break
-                if not committed:
-                    break
-            return len(pending)
-        finally:
-            self._absorb_evaluator(evaluator)
-
-    def _aligned_with(self, trial, path, good_root, anchor_index) -> bool:
-        key = None
-        if self.journal is not None and self._verdicts_safe():
-            key = self._minimize_key(trial, anchor_index)
-            cached = self.journal.lookup("minimize", key)
-            if cached is not None:
-                # Resume fast path: the verdict replaces exactly one
-                # replay, so mirror the serial accounting — replay
-                # counts are part of the canonical report.
-                self.replays += 1
-                return bool(cached)
-        with self._timed("replay"):
-            replayed = self.bad.replay(trial, anchor_index)
-            self.replays += 1
-        anchor_time = self._anchor_time(replayed)
-        with self._timed("minimize"):
-            divergent = self._find_divergence(
-                path, good_root, replayed, anchor_time
-            )
-        if key is not None:
-            self.journal.record("minimize", key, divergent is None)
-        return divergent is None
-
-    def _minimize_key(self, trial, anchor_index) -> str:
-        return (
-            f"{self.good_event}~{self.bad_event}"
-            f"{_trial_key(trial, anchor_index)}"
-        )
-
-    def _verdicts_safe(self) -> bool:
-        """Whether minimize verdicts may be journalled/replayed.
+    def _verdicts_pure(self) -> bool:
+        """Whether a minimality verdict is a pure function of its trial
+        — and may therefore be journalled, resumed and speculated.
 
         Under observed degradation the divergence check *mutates*
         diagnosis state (UNKNOWN notes, partial-verify flags), so a
-        skipped replay would change the report; degraded resumes
-        recompute every trial instead (still byte-identical — the
-        computation is deterministic).  Host-only fault plans are safe:
-        they never touch replay semantics.
+        skipped or off-process replay would change the report; degraded
+        runs recompute every trial in order instead (still
+        byte-identical — the computation is deterministic).  Host-only
+        fault plans (worker-crash, snapshot-corrupt) are fine: they
+        never touch replay semantics.
         """
-        return (
-            self.fault_plan is None or self.fault_plan.host_only()
-        ) and not self._degraded()
-
-    # ------------------------------------------------------------------
-    # Resilience plumbing (docs/resilience.md).
-    # ------------------------------------------------------------------
-
-    def _journal_phase(self, name: str) -> None:
-        if self.journal is not None:
-            self.journal.phase(name)
-
-    def _check_deadline(self, phase: str) -> None:
-        if self.deadline is not None:
-            self.deadline.check(phase)
-
-    def _absorb_evaluator(self, evaluator) -> None:
-        for name, value in evaluator.counters().items():
-            if value:
-                self.evaluator_counters[name] = (
-                    self.evaluator_counters.get(name, 0) + value
-                )
-
-    def resilience_section(self) -> Optional[Dict[str, object]]:
-        """The report's ``resilience`` section (None when inactive).
-
-        Describes *how* the run survived, never what it concluded —
-        excluded from the canonical report so resumed/degraded runs
-        stay byte-comparable on their conclusions.
-        """
-        section: Dict[str, object] = {}
-        if self.journal is not None:
-            section["journal"] = {
-                "path": self.journal.path,
-                "resumed": self.journal.resumed,
-                "skipped_candidates": self.journal.skipped,
-                "entries_written": self.journal.writes,
-            }
-        if self.evaluator_counters:
-            section["evaluator"] = dict(self.evaluator_counters)
-        if self.replay_cache is not None and self.replay_cache.corrupt:
-            section["cache"] = {"corrupt": self.replay_cache.corrupt}
-        if self.deadline is not None:
-            expired = self.deadline.expired or (
-                self.deadline_expired_in is not None
-            )
-            section["deadline"] = {
-                "seconds": self.deadline.seconds,
-                "expired": expired,
-                "slack_s": round(self.deadline.timeout(), 3),
-            }
-            if self.deadline_expired_in is not None:
-                section["deadline"]["expired_in"] = self.deadline_expired_in
-        return section or None
-
-    def journal_result(self, report) -> None:
-        """Record the finished diagnosis in the journal (commit marker)."""
-        if self.journal is None or self.journal.closed:
-            return
-        sha = _hashlib.sha256(
-            report.canonical_json().encode("utf-8")
-        ).hexdigest()
-        self.journal.result(report.success, sha,
-                            category=report.failure_category)
-
-    # ------------------------------------------------------------------
-    # Rollback planning (repro.repair, docs/repair.md).
-    # ------------------------------------------------------------------
-
-    def maybe_repair(self, report) -> None:
-        """Attach ranked, replay-verified rollback plans to the report.
-
-        Runs only after a *successful* diagnosis with ``repair=True``.
-        A degraded diagnosis (recovered provenance, UNKNOWN subtrees)
-        yields a skipped section — its Δ is not trustworthy enough to
-        plan fixes from.  Deadline expiry mid-planning degrades to
-        "diagnosis only": the diagnosis itself still succeeds, with a
-        repair section that says why it is empty.
-        """
-        if not self.options.repair or not report.success:
-            return
-        self._journal_phase("repair")
-        if report.degraded:
-            report.repair = {
-                "status": "skipped-degraded",
-                "probes": 0,
-                "replays": 0,
-                "plans": [],
-                "rejected": [],
-            }
-            return
-        # Imported lazily: repro.repair imports replay machinery that
-        # in turn imports this module.
-        from ..repair import RollbackPlanner
-
-        planner = RollbackPlanner(
-            self.program,
-            self.bad,
-            good_event=self.good_event,
-            bad_event=self.bad_event,
-            changes=report.changes,
-            anchor_index=self.anchor_index,
-            workers=self.options.workers,
-            fault_plan=self.fault_plan,
-            journal=self.journal,
-            deadline=self.deadline,
-            telemetry=self.telemetry,
-            resilience=self.options.resilience,
-        )
-        try:
-            with self._timed("repair"):
-                report.repair = planner.plan()
-        except DeadlineExceeded:
-            self.deadline_expired_in = "repair"
-            report.repair = {
-                "status": "deadline-exceeded",
-                "probes": 0,
-                "replays": planner.replays,
-                "plans": [],
-                "rejected": [],
-            }
-        finally:
-            for name, value in planner.evaluator_counters.items():
-                if value:
-                    self.evaluator_counters[name] = (
-                        self.evaluator_counters.get(name, 0) + value
-                    )
-        if self.telemetry is not None:
-            section = report.repair
-            self.telemetry.fold_counters(
-                "repair",
-                {
-                    "plans_verified": len(section.get("plans", ())),
-                    "plans_rejected": len(section.get("rejected", ())),
-                    "replays": section.get("replays", 0),
-                },
-            )
+        plan = self.run.fault_plan
+        return (plan is None or plan.host_only()) and not self._degraded()
 
     # ------------------------------------------------------------------
     # FIRSTDIV: walking the seed→root branch.
@@ -1519,36 +1053,6 @@ class _DiagnosisState:
     # Reports.
     # ------------------------------------------------------------------
 
-    def fold_metrics(self) -> None:
-        """Final deterministic counts for the diagnosis snapshot.
-
-        Only counts go into the registry — never wall time — so two
-        runs with the same seed produce byte-identical snapshots.
-        """
-        telemetry = self.telemetry
-        if telemetry is None:
-            return
-        telemetry.set_gauge("diffprov.good_tree_size", self.good_tree_size)
-        telemetry.set_gauge("diffprov.bad_tree_size", self.bad_tree_size)
-        telemetry.inc("diffprov.rounds", len(self.rounds))
-        telemetry.inc("diffprov.replays", self.replays)
-        telemetry.inc("diffprov.changes", len(self.changes))
-        if self.unknowns:
-            telemetry.inc("diffprov.unknown_subtrees", len(self.unknowns))
-        if self.lost_log_events:
-            telemetry.inc("recorder.lost_log_events", self.lost_log_events)
-        if self.replay_cache is not None:
-            self.replay_cache.fold_into(telemetry)
-        if self.journal is not None:
-            telemetry.set_gauge("journal.writes", self.journal.writes)
-            telemetry.set_gauge("journal.skipped", self.journal.skipped)
-        for name, value in sorted(self.evaluator_counters.items()):
-            telemetry.set_gauge(f"parallel.{name}_total", value)
-        telemetry.set_gauge("log.good_bytes", self.good.log.total_bytes)
-        telemetry.set_gauge("log.good_entries", len(self.good.log))
-        telemetry.set_gauge("log.bad_bytes", self.bad.log.total_bytes)
-        telemetry.set_gauge("log.bad_entries", len(self.bad.log))
-
     def _degraded(self) -> bool:
         return bool(
             self.recovered
@@ -1569,9 +1073,8 @@ class _DiagnosisState:
         them completely, so the report stays byte-identical to a
         fault-free run (docs/resilience.md).
         """
-        network_faults = (
-            self.fault_plan is not None and not self.fault_plan.host_only()
-        )
+        plan = self.run.fault_plan
+        network_faults = plan is not None and not plan.host_only()
         if not network_faults and not self._degraded():
             return None
         if success:
@@ -1580,48 +1083,31 @@ class _DiagnosisState:
             level = "uncertain"
         return [level] * len(self.changes)
 
-    def _success_report(self, anchor_index) -> DiagnosisReport:
+    def report(
+        self, success: bool, failure: Optional[Exception] = None
+    ) -> DiagnosisReport:
         # Success is only declared after _find_divergence found the full
         # trees equivalent on a replay that already incorporated every
         # accumulated change — i.e. the diagnosis is verified by
         # construction whenever the verify option is on.  Under
         # degradation the verification is only partial: the stimulus
         # branch was walked, but UNKNOWN subtrees were taken on trust.
-        degraded = self._degraded()
-        verified = self.options.verify and not self.partial_verify
         return DiagnosisReport(
-            success=True,
-            changes=self.changes,
-            rounds=self.rounds,
-            failure=None,
-            timings=self.timings,
-            good_tree_size=self.good_tree_size,
-            bad_tree_size=self.bad_tree_size,
-            good_seed=self.good_seed.tuple if self.good_seed else None,
-            bad_seed=self.bad_seed.tuple if self.bad_seed else None,
-            replays=self.replays,
-            verified=verified,
-            degraded=degraded,
-            confidences=self._confidences(success=True),
-            unknown_subtrees=self.unknowns,
-            distributed_stats=self.distributed_stats,
-            lost_events=self.lost_log_events,
-        )
-
-    def failure_report(self, failure: Optional[Exception]) -> DiagnosisReport:
-        return DiagnosisReport(
-            success=False,
+            success=success,
             changes=self.changes,
             rounds=self.rounds,
             failure=failure,
-            timings=self.timings,
+            timings=self.run.timings,
             good_tree_size=self.good_tree_size,
             bad_tree_size=self.bad_tree_size,
             good_seed=self.good_seed.tuple if self.good_seed else None,
             bad_seed=self.bad_seed.tuple if self.bad_seed else None,
             replays=self.replays,
+            verified=(
+                success and self.options.verify and not self.partial_verify
+            ),
             degraded=self._degraded(),
-            confidences=self._confidences(success=False),
+            confidences=self._confidences(success),
             unknown_subtrees=self.unknowns,
             distributed_stats=self.distributed_stats,
             lost_events=self.lost_log_events,
@@ -1652,13 +1138,3 @@ def _candidate_tuples(store, atom, env: Dict[str, object]):
 def _stable_key(tup: Tuple):
     return tuple((type(a).__name__, str(a)) for a in tup.args)
 
-
-def _trial_key(trial, anchor_index) -> str:
-    """Deterministic journal key for one minimality trial.
-
-    Built from the canonical change descriptions and the anchor — the
-    exact inputs of the replayed candidate — so an uninterrupted run
-    and a resumed run key the same trial identically.
-    """
-    parts = [change.describe() for change in trial]
-    return f"@{anchor_index}|" + "|".join(parts)

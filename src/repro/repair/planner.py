@@ -28,10 +28,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..core.harness import RunContext
 from ..datalog.tuples import TableKind
 from ..errors import ReproError, StepLimitExceeded
-from ..faults import FaultInjector
-from ..replay.parallel import CandidateEvaluator
 from ..replay.replayer import Change
 from .probes import Baseline, derived_alive_state
 
@@ -103,14 +102,9 @@ class RollbackPlan:
 
 
 def _probe_plan(shared, index):
-    """Worker-side verification of one rollback plan.
-
-    Runs in a forked process (or on a pickled clone inline — see
-    :class:`repro.replay.parallel.CandidateEvaluator`); nothing it
-    touches leaks back to the planning process.  Plan verdicts are
-    independent of each other, so unlike the minimality pass no wave
-    invalidation is needed — every plan in the wave is consumed.
-    """
+    """Verify rollback plan ``index`` — the candidate probe of
+    :meth:`RollbackPlanner.plan` (inline on the live planner, or on a
+    pool worker's clone of it)."""
     planner, plans = shared
     return planner.verify(plans[index])
 
@@ -127,12 +121,7 @@ class RollbackPlanner:
         bad_event,
         changes: Sequence[Change],
         anchor_index: Optional[int],
-        workers: int = 1,
-        fault_plan=None,
-        journal=None,
-        deadline=None,
-        telemetry=None,
-        resilience=None,
+        run: Optional[RunContext] = None,
     ):
         self.program = program
         self.bad = bad
@@ -140,18 +129,14 @@ class RollbackPlanner:
         self.bad_event = bad_event
         self.changes = list(changes)
         self.anchor_index = anchor_index
-        self.workers = workers
-        self.fault_plan = fault_plan
-        self.journal = journal
-        self.deadline = deadline
-        self.telemetry = telemetry
-        self.resilience = resilience
+        # Journal, deadline, telemetry and candidate pool of the
+        # diagnosis this planner serves; inert when used stand-alone.
+        self.run = run if run is not None else RunContext()
         # Logical replay accounting: +1 per verdict consumed whether it
         # came from a live replay, a snapshot restore, or a journal hit
         # — the count is part of the canonical section, so it must be
         # identical across workers × cache × resume.
         self.replays = 0
-        self.evaluator_counters: Dict[str, int] = {}
         # prepare() reduces its two replays to these; no result is kept.
         self.probes = frozenset()
         self.baseline: Optional[Baseline] = None
@@ -159,16 +144,6 @@ class RollbackPlanner:
         self.reference_verdict: Dict[str, object] = {}
         self.counterparts: Dict = {}
         self._prepared = False
-
-    def __getstate__(self):
-        # Shipped to candidate-evaluator workers: telemetry, the
-        # journal (open file handle), and the deadline (live clock)
-        # stay behind, exactly like _DiagnosisState.
-        state = self.__dict__.copy()
-        state["telemetry"] = None
-        state["journal"] = None
-        state["deadline"] = None
-        return state
 
     # -- the pipeline ---------------------------------------------------------
 
@@ -187,10 +162,21 @@ class RollbackPlanner:
                 "plans": [],
                 "rejected": [],
             }
-        self._check_deadline()
         self.prepare()
         plans = self.enumerate()
-        verdicts = self._verify_all(plans)
+        # Verdicts are independent of each other: every one is consumed.
+        verdicts = [
+            verdict
+            for _, verdict in self.run.sweep(
+                "repair",
+                _probe_plan,
+                (self, plans),
+                len(plans),
+                keys=[self._plan_key(plan) for plan in plans],
+                reuse=lambda value: isinstance(value, dict),
+                counter=self,
+            )
+        ]
         return self._section(plans, verdicts)
 
     def prepare(self) -> None:
@@ -220,7 +206,7 @@ class RollbackPlanner:
             if change.insert is not None
         }
         del pristine, store
-        self._check_deadline()
+        self.run.check("repair")
         reference = self.bad.replay(self.changes, self.anchor_index)
         self.replays += 1
         # probe_suite(pristine, reference), one side at a time.
@@ -368,80 +354,6 @@ class RollbackPlanner:
             "blast_radius": len(delta ^ self.reference_delta),
         }
 
-    # -- verification fan-out -------------------------------------------------
-
-    def _verify_all(self, plans) -> List[Dict[str, object]]:
-        verdicts: List[Optional[Dict[str, object]]] = [None] * len(plans)
-        pending: List[int] = []
-        for index, plan in enumerate(plans):
-            cached = self._journal_lookup(plan)
-            if cached is not None:
-                # Resume fast path: the verdict replaces exactly one
-                # replay — mirror the accounting.
-                self.replays += 1
-                verdicts[index] = cached
-            else:
-                pending.append(index)
-        if (
-            len(pending) > 1
-            and self.workers > 1
-            and (self.fault_plan is None or self.fault_plan.host_only())
-        ):
-            # Verdicts are independent, so (unlike minimize) a resumed
-            # journal does not force the serial path — journal hits were
-            # consumed above and only the misses fan out.  Results are
-            # consumed in plan order either way: byte-identical.
-            done = self._verify_parallel(plans, pending, verdicts)
-            pending = pending[done:]
-        for index in pending:
-            self._check_deadline()
-            verdict = self.verify(plans[index])
-            self.replays += 1
-            self._journal_record(plans[index], verdict)
-            verdicts[index] = verdict
-        return verdicts
-
-    def _verify_parallel(self, plans, pending, verdicts) -> int:
-        """One speculative wave over every unverified plan.
-
-        Returns how many of ``pending`` were consumed; the serial loop
-        finishes the rest (non-zero only when the planning context
-        cannot be pickled, e.g. an execution stand-in).
-        """
-        faults = (
-            FaultInjector(self.fault_plan, "evaluator")
-            if self.fault_plan is not None
-            else None
-        )
-        evaluator = CandidateEvaluator(
-            self.workers,
-            self.telemetry,
-            policy=self.resilience,
-            faults=faults,
-        )
-        try:
-            self._check_deadline()
-            shared = (self, [plans[i] for i in pending])
-            results = evaluator.evaluate(_probe_plan, shared, len(pending))
-            if results is None:
-                return 0
-            for position, index in enumerate(pending):
-                status, value = results[position]
-                if status == "err":
-                    raise value
-                self.replays += 1
-                self._journal_record(plans[index], value)
-                verdicts[index] = value
-            return len(pending)
-        finally:
-            for name, value in evaluator.counters().items():
-                if value:
-                    self.evaluator_counters[name] = (
-                        self.evaluator_counters.get(name, 0) + value
-                    )
-
-    # -- journal + deadline plumbing ------------------------------------------
-
     def _plan_key(self, plan: RollbackPlan) -> str:
         """Journal key: the exact inputs of the verification replay.
 
@@ -453,20 +365,6 @@ class RollbackPlanner:
             f"{self.good_event}~{self.bad_event}"
             f"@{self.anchor_index}|{plan.key()}"
         )
-
-    def _journal_lookup(self, plan) -> Optional[Dict[str, object]]:
-        if self.journal is None:
-            return None
-        cached = self.journal.lookup("repair", self._plan_key(plan))
-        return dict(cached) if isinstance(cached, dict) else None
-
-    def _journal_record(self, plan, verdict) -> None:
-        if self.journal is not None:
-            self.journal.record("repair", self._plan_key(plan), verdict)
-
-    def _check_deadline(self) -> None:
-        if self.deadline is not None:
-            self.deadline.check("repair")
 
     # -- ranking and the canonical section ------------------------------------
 

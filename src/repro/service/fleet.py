@@ -146,35 +146,33 @@ def _serve_diagnosis(job: Dict):
     from ..api import Session
     from ..observability import ManualClock, Telemetry
 
-    options = job.get("options") or {}
+    # Admission (protocol.parse_request) already type-checked every
+    # option; the ones present are forwarded as they are and Session's
+    # own defaults cover the rest.
+    options = dict(job.get("options") or {})
+    limit = options.pop("limit", None)
     # telemetry: False (off) / True (wall clock) / "manual" — the last
     # runs the worker's tracer on a fresh ManualClock so exported spans
     # (and the stitched service trace) are byte-identical across runs.
-    telemetry_opt = options.get("telemetry", False)
-    if telemetry_opt == "manual":
+    telemetry = options.pop("telemetry", False)
+    if telemetry == "manual":
         telemetry = Telemetry(clock=ManualClock())
-    elif telemetry_opt:
-        telemetry = Telemetry()
-    else:
-        telemetry = None
     session = Session(
         scenario=job["scenario"],
-        max_rounds=int(options.get("max_rounds", 10)),
-        minimize=bool(options.get("minimize", False)),
-        taint=bool(options.get("taint", True)),
-        repair=bool(options.get("repair", False)),
-        faults=options.get("faults"),
-        engine=options.get("engine"),
         telemetry=telemetry,
         trace=job.get("trace"),
         journal=job.get("journal"),
         resume=True,  # first attempt finds no file and starts fresh
         deadline_s=job.get("deadline_s"),
         cache=_warm_cache(),
+        **options,
     )
     with session:
         if job["op"] == "autoref":
-            result = session.autoref(limit=int(options.get("limit", 10)))
+            result = (
+                session.autoref() if limit is None
+                else session.autoref(limit=limit)
+            )
             report = result.report
             payload = {
                 "found": result.found,

@@ -30,8 +30,9 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional
 
+from ..api import check_option
 from ..datalog.config import EngineConfig
-from ..errors import Overloaded, ProtocolError
+from ..errors import Overloaded, ProtocolError, ReproError
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -56,15 +57,6 @@ CONTROL_KINDS = ("ping", "stats", "metrics", "flight")
 # Keys an upstream trace context may carry (repro.observability.ops
 # TraceContext.to_dict); anything else is a protocol error.
 _TRACE_KEYS = frozenset({"trace_id", "span_id", "parent_span_id", "attempt"})
-
-# Tuning knobs a request may forward to the worker's Session.  A
-# whitelist, not a passthrough: option typos fail loudly at admission
-# and a client can never reach knobs that break determinism or
-# isolation (journal paths, worker counts).
-_ALLOWED_OPTIONS = frozenset(
-    {"max_rounds", "minimize", "taint", "limit", "faults", "telemetry",
-     "engine", "repair"}
-)
 
 _MAX_LINE_BYTES = 64 * 1024
 
@@ -177,27 +169,21 @@ def parse_request(payload) -> Request:
     options = payload.get("options") or {}
     if not isinstance(options, dict):
         raise ProtocolError("'options' must be an object")
-    bad = set(options) - _ALLOWED_OPTIONS
-    if bad:
-        raise ProtocolError(
-            f"unsupported option(s): {', '.join(sorted(bad))} "
-            f"(allowed: {', '.join(sorted(_ALLOWED_OPTIONS))})"
-        )
-    engine = options.get("engine")
-    if engine is not None:
-        # A backend name string or a {backend, provenance} object; an
-        # unknown backend is a typed protocol error at admission, never
-        # a worker crash.
-        if not isinstance(engine, (str, dict)):
-            raise ProtocolError(
-                "'engine' must be a backend name or an object with "
-                "backend/provenance fields"
-            )
+    # The tuning knobs a request may forward to the worker's Session
+    # are repro.api.OPTION_CHECKS — names *and* value types.  A table,
+    # not a passthrough: a typo or a mistyped value ("false", "ten")
+    # fails loudly here, before it spends a quota token and a worker
+    # slot or silently changes the Δ, and a client can never reach
+    # knobs that break determinism or isolation (journal paths, worker
+    # counts).
+    for name in sorted(options):
         try:
-            options = dict(options)
-            options["engine"] = EngineConfig.coerce(engine).to_dict()
-        except ValueError as exc:
+            check_option(name, options[name])
+        except ReproError as exc:
             raise ProtocolError(str(exc)) from exc
+    if options.get("engine") is not None:
+        options = dict(options)
+        options["engine"] = EngineConfig.coerce(options["engine"]).to_dict()
     test_hold = payload.get("test_hold")
     if test_hold is not None and not isinstance(test_hold, dict):
         raise ProtocolError("'test_hold' must be an object")

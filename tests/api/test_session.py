@@ -34,6 +34,24 @@ class TestConstruction:
         with pytest.raises(FaultSpecError):
             Session(scenario="SDN1", faults="bogus")
 
+    @pytest.mark.parametrize("knobs,fragment", [
+        ({"max_rounds": "3"}, "'max_rounds' must be an integer >= 1"),
+        ({"max_rounds": 0}, "'max_rounds' must be an integer >= 1"),
+        ({"minimize": "false"}, "'minimize' must be true or false"),
+        ({"repair": 1}, "'repair' must be true or false"),
+    ])
+    def test_mistyped_knobs_rejected_eagerly(self, knobs, fragment):
+        # The same table the service protocol admits options through
+        # (repro.api.OPTION_CHECKS): no bare TypeError from inside the
+        # round loop, no bool("false").
+        with pytest.raises(ReproError, match=fragment):
+            Session(scenario="SDN1", **knobs)
+
+    def test_negative_autoref_limit_rejected(self):
+        # candidates[:-1] used to drop the last candidate silently.
+        with pytest.raises(ReproError, match="'limit' must be an integer"):
+            Session(scenario="SDN1").autoref(limit=-1)
+
     def test_construction_is_lazy(self):
         session = Session(scenario="SDN1")
         assert session.program is None  # nothing built yet

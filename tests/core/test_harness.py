@@ -1,0 +1,199 @@
+"""The seam between Section 4 and the run harness (repro.core.harness).
+
+Two contracts: ``core/diffprov.py`` is the algorithm and imports none
+of the machinery that records or bounds a run; and the one candidate
+sweep yields the same verdicts, replay count and journal savings
+whether a verdict came from the journal, a pool worker or an inline
+call — under every policy a consumer's loop body applies to it.
+"""
+
+import ast
+import pickle
+import threading
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import repro.core.diffprov
+from repro.core.diffprov import DiffProvOptions
+from repro.core.harness import RunContext
+from repro.errors import DeadlineExceeded
+from repro.observability import Telemetry
+from repro.resilience import Deadline, DiagnosisJournal
+
+
+def test_diffprov_imports_none_of_the_harness_machinery():
+    banned = ("repro.resilience", "repro.observability",
+              "repro.replay.parallel", "repro.faults", "hashlib", "time")
+    tree = ast.parse(Path(repro.core.diffprov.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # Resolve "from ..faults import X" against repro.core.
+            package = ["repro", "core"][: 2 - (node.level - 1)]
+            base = ".".join(package + ([node.module] if node.module else []))
+            imported += [base] + [f"{base}.{a.name}" for a in node.names]
+    offenders = [
+        name for name in imported
+        if any(name == b or name.startswith(b + ".") for b in banned)
+    ]
+    assert not offenders, offenders
+
+
+# -- the sweep on a toy probe -------------------------------------------------
+
+VERDICTS = [False, False, True, False, True, False, False]
+JOURNALED = (0, 1, 2, 5)  # what an earlier, killed run had recorded
+
+
+def toy_probe(shared, index):
+    verdict = shared["verdicts"][index]
+    if isinstance(verdict, Exception):
+        raise verdict
+    return verdict
+
+
+def stop_at_first(sweep_from):
+    for index, verdict in sweep_from(0):
+        yield index, verdict
+        if verdict:
+            return
+
+
+def restart_after_commit(sweep_from):
+    position = 0
+    while position < len(VERDICTS):
+        start, position = position, len(VERDICTS)
+        for index, verdict in sweep_from(start):
+            yield index, verdict
+            if verdict:
+                position = index + 1
+                break
+
+
+def consume_all(sweep_from):
+    yield from sweep_from(0)
+
+
+POLICIES = [stop_at_first, restart_after_commit, consume_all]
+
+
+def _consume(policy, workers, picklable, journal):
+    run = RunContext(DiffProvOptions(workers=workers, journal=journal))
+    counter = SimpleNamespace(replays=0)
+    shared = {"verdicts": VERDICTS}
+    if not picklable:
+        shared["lock"] = threading.Lock()
+
+    def sweep_from(start):
+        count = len(VERDICTS) - start
+        for index, verdict in run.sweep(
+            "toy", toy_probe,
+            dict(shared, verdicts=VERDICTS[start:]), count,
+            keys=[f"candidate-{start + i}" for i in range(count)],
+            counter=counter,
+        ):
+            yield start + index, verdict
+
+    return list(policy(sweep_from)), counter.replays, run
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.__name__)
+@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+@pytest.mark.parametrize(
+    "workers,picklable",
+    [(1, True), (2, True), (2, False)],
+    ids=["inline", "pool", "unpicklable"],
+)
+def test_sweep_is_the_serial_loop(tmp_path, workers, picklable, resumed, policy):
+    # The oracle: the same policy over a plain loop calling the probe.
+    expected = list(policy(lambda start: (
+        (index, VERDICTS[index]) for index in range(start, len(VERDICTS))
+    )))
+    path = str(tmp_path / "toy.journal")
+    if resumed:
+        with DiagnosisJournal(path) as earlier:
+            for index in JOURNALED:
+                earlier.record("toy", f"candidate-{index}", VERDICTS[index])
+    with DiagnosisJournal(path, resume=resumed) as journal:
+        consumed, replays, run = _consume(policy, workers, picklable, journal)
+        assert consumed == expected
+        assert replays == len(expected)
+        # A journal hit is counted when — and only when — it is consumed.
+        hits = [i for i, _ in expected if resumed and i in JOURNALED]
+        assert journal.skipped == len(hits)
+        # Every consumed verdict is durable afterwards; candidates the
+        # policy never reached (speculated or not) are not.
+        for index in range(len(VERDICTS)):
+            reached = index in dict(expected) or (
+                resumed and index in JOURNALED
+            )
+            recorded = journal.peek("toy", f"candidate-{index}")
+            assert (recorded is not None) == reached
+    if workers == 1:
+        assert run._evaluator is None  # the serial path builds no pool
+
+
+class _Clock:
+    def __init__(self):
+        self.t = 0.0
+
+    def __call__(self):
+        return self.t
+
+
+def _ticking_probe(shared, index):
+    shared["clock"].t += 10.0
+    return index
+
+
+def test_deadline_expires_between_candidates():
+    clock = _Clock()
+    run = RunContext(DiffProvOptions(deadline=Deadline(25.0, clock=clock)))
+    counter = SimpleNamespace(replays=0)
+    seen = []
+    with pytest.raises(DeadlineExceeded) as info:
+        for index, verdict in run.sweep(
+            "toy", _ticking_probe, {"clock": clock}, 6, counter=counter
+        ):
+            seen.append(verdict)
+    # Checked before each evaluation: 0, 10 and 20 s pass, 30 s does not.
+    assert seen == [0, 1, 2]
+    assert counter.replays == 3
+    assert info.value.phase == "toy"
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pool"])
+def test_probe_error_surfaces_at_its_serial_position(workers):
+    verdicts = [False, False, ValueError("candidate 2 blew up"), True]
+    run = RunContext(DiffProvOptions(workers=workers))
+    counter = SimpleNamespace(replays=0)
+    seen = []
+    with pytest.raises(ValueError, match="candidate 2 blew up"):
+        for index, verdict in run.sweep(
+            "toy", toy_probe, {"verdicts": verdicts}, len(verdicts),
+            counter=counter,
+        ):
+            seen.append(index)
+    assert seen == [0, 1]
+    assert counter.replays == 2
+
+
+def test_context_sheds_process_local_state_on_pickling(tmp_path):
+    with DiagnosisJournal(str(tmp_path / "j")) as journal:
+        options = DiffProvOptions(
+            telemetry=Telemetry(), journal=journal, deadline=30.0, workers=2,
+            minimize=True,
+        )
+        run = RunContext(options)
+        shipped = pickle.loads(pickle.dumps(run))
+    for name in ("telemetry", "journal", "deadline", "cache", "_evaluator"):
+        assert getattr(shipped, name) is None
+    assert (shipped.options.telemetry, shipped.options.journal,
+            shipped.options.deadline) == (None, None, None)
+    # What a worker needs travels; the parent's objects are untouched.
+    assert shipped.workers == 2 and shipped.options.minimize is True
+    assert options.journal is journal and run.deadline is not None

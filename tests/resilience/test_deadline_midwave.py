@@ -57,11 +57,12 @@ def wave_burns_budget_then_degrades(monkeypatch):
 
     After the wave completes (and the clock has leapt), the patched
     evaluator reports its results as unusable — the same signal an
-    unpicklable context sends — so ``_minimize_parallel`` hands the
-    remaining trials to the serial pass, whose per-candidate
-    ``_check_deadline("minimize")`` is the check that must observe the
-    expiry.  (Every built-in scenario's minimize finishes in a single
-    wave, so without the handoff no later check would ever run.)
+    unpicklable context sends — so the candidate sweep
+    (``RunContext.sweep``) evaluates the remaining trials inline, where
+    the replay's own budget check or the sweep's next per-candidate
+    ``check("minimize")`` is what must observe the expiry.  (Every
+    built-in scenario's minimize finishes in a single wave, so without
+    the handoff no later check would ever run.)
     """
     clock = FakeClock()
     real_evaluate = CandidateEvaluator.evaluate

@@ -101,6 +101,30 @@ def test_shed_requests_land_in_the_slo_books():
     assert book["admitted"] + sum(book["shed"].values()) == book["offered"]
 
 
+def test_mistyped_option_is_refused_before_admission():
+    """A hostile option value never reaches the SLO book, the quota
+    bucket or a worker: it is a protocol error, not a diagnosis-error."""
+    async def scenario():
+        async with DiagnosisServer(workers=1) as server:
+            client = ServiceClient(server)
+            rejected = await client.request({
+                "id": "bad-1", "kind": "diagnose", "scenario": "MR1-D",
+                "tenant": "acme", "options": {"minimize": "false"},
+            })
+            served = await client.diagnose("DNS", tenant="acme")
+            return rejected, served, await client.stats()
+
+    rejected, served, stats = _run(scenario())
+    assert rejected["status"] == "error"
+    assert rejected["category"] == "protocol"
+    assert rejected["id"] == "bad-1"
+    assert "'minimize' must be true or false" in rejected["message"]
+    assert served["status"] == "ok"
+    book = stats["stats"]["slo"]["acme"]
+    assert (book["offered"], book["admitted"]) == (1, 1)
+    assert book["errored"] == 0
+
+
 def test_ops_disabled_keeps_the_verbs_answering():
     async def scenario():
         async with DiagnosisServer(workers=1, ops=False) as server:

@@ -79,6 +79,39 @@ def test_parse_rejections_are_typed(payload, fragment):
         parse_request(payload)
 
 
+@pytest.mark.parametrize("options,fragment", [
+    # A string is not a boolean: bool("false") is True, which used to
+    # switch minimization *on* and return a different Δ.
+    ({"minimize": "false"}, "'minimize' must be true or false"),
+    ({"taint": 0}, "'taint' must be true or false"),
+    ({"repair": None}, "'repair' must be true or false"),
+    ({"max_rounds": "ten"}, "'max_rounds' must be an integer >= 1"),
+    ({"max_rounds": True}, "'max_rounds' must be an integer >= 1"),
+    ({"max_rounds": 0}, "'max_rounds' must be an integer >= 1"),
+    ({"max_rounds": 2.5}, "'max_rounds' must be an integer >= 1"),
+    ({"limit": -1}, "'limit' must be an integer >= 0"),
+    ({"limit": "3"}, "'limit' must be an integer >= 0"),
+    ({"faults": 5}, "'faults' must be a fault-plan spec string"),
+    ({"faults": "drop=fast"}, "bad fault spec token 'drop=fast'"),
+    ({"telemetry": "loud"}, "'telemetry' must be false, true or"),
+    ({"telemetry": 1}, "'telemetry' must be false, true or"),
+    ({"engine": 17}, "'engine' cannot interpret 17 as an EngineConfig"),
+])
+def test_hostile_option_values_are_rejected_at_admission(options, fragment):
+    with pytest.raises(ProtocolError, match=fragment):
+        parse_request({"id": "x", "kind": "diagnose", "scenario": "MR1-D",
+                       "options": options})
+
+
+def test_well_typed_options_pass_through_unchanged():
+    options = {"max_rounds": 3, "minimize": True, "taint": False,
+               "repair": True, "limit": 0, "faults": "loss=0.1,seed=7",
+               "telemetry": "manual", "engine": None}
+    request = parse_request({"id": "x", "kind": "autoref", "scenario": "DNS",
+                             "options": options})
+    assert request.options == options
+
+
 def test_decode_bounds_line_length():
     huge = b'{"id": "' + b"a" * 70_000 + b'"}'
     with pytest.raises(ProtocolError, match="exceeds"):
