@@ -22,9 +22,9 @@ Reported per workload:
   kind of work the cache accelerates and both columns fell);
 - ``plans`` / ``plans_per_s`` — enumerated plans over the cached
   phase time;
-- ``identical`` — canonical-report equality across cold, cached, and
-  ``workers=2`` (the repair section is part of the determinism
-  contract, so the benchmark doubles as a regression check).
+- ``identical`` — canonical-report equality across cold and cached
+  (the repair section is part of the determinism contract, so the
+  benchmark doubles as a regression check).
 
 The last row is the emulated substrate (default-scale Stanford, which
 never enters the NDlog replayer): one session's first ``repair()`` against
@@ -61,13 +61,12 @@ WORKLOADS = [
 ROUNDS = 3
 
 
-def _diagnose(name, params, replay_cache, workers=1):
+def _diagnose(name, params, replay_cache):
     scenario = ALL_SCENARIOS[name](**params).setup()
     telemetry = Telemetry()
     options = DiffProvOptions(
         repair=True,
         replay_cache=replay_cache,
-        workers=workers,
         telemetry=telemetry,
     )
     report = DiffProv(scenario.program, options).diagnose(
@@ -149,11 +148,8 @@ def run_benchmark():
     for name, params in WORKLOADS:
         cold_s, cold_report = _best_repair_seconds(name, params, False)
         cached_s, cached_report = _best_repair_seconds(name, params, True)
-        par_report, _ = _diagnose(name, params, True, workers=2)
         identical = (
-            cold_report.canonical_json()
-            == cached_report.canonical_json()
-            == par_report.canonical_json()
+            cold_report.canonical_json() == cached_report.canonical_json()
         )
         rows.append(
             _row(name, cold_s, cached_s, cached_report.repair, identical)
@@ -165,7 +161,7 @@ def run_benchmark():
 def check(rows):
     for row in rows:
         assert row["identical"], (
-            f"{row['scenario']}: cache/parallel changed the repair section"
+            f"{row['scenario']}: the cache changed the repair section"
         )
         assert row["verified"] >= 1, row
     best = max(row["speedup"] for row in rows)

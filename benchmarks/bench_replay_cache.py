@@ -6,9 +6,7 @@ this benchmark measures the mechanism that breaks that shape
 diagnoses — minimality post-passes, which replay the bad log once per
 candidate change — timed with ``replay_cache=False`` (every candidate
 re-derives the whole log: the oracle path) and with the default (one
-live base per execution, candidates forked by checkpoint/rollback),
-plus a ``workers=2`` run to pin the determinism contract from the same
-harness.
+live base per execution, candidates forked by checkpoint/rollback).
 
 Reported per workload:
 
@@ -21,8 +19,8 @@ Reported per workload:
   that forked below it and ran from scratch instead;
 - ``pickles`` — ``pickle.dumps`` + ``pickle.loads`` calls during the
   forked diagnosis (must be 0: no snapshot is taken or restored);
-- ``identical`` — canonical-report equality across from-scratch,
-  forked, and workers=2.
+- ``identical`` — canonical-report equality across from-scratch and
+  forked.
 
 Run as a script (writes BENCH_replay_cache.json)::
 
@@ -53,13 +51,12 @@ WORKLOADS = [
 ROUNDS = 3
 
 
-def _diagnose(name, params, replay_cache, workers=1):
+def _diagnose(name, params, replay_cache):
     scenario = ALL_SCENARIOS[name](**params).setup()
     telemetry = Telemetry()
     options = DiffProvOptions(
         minimize=True,
         replay_cache=replay_cache,
-        workers=workers,
         telemetry=telemetry,
     )
     report = DiffProv(scenario.program, options).diagnose(
@@ -94,12 +91,7 @@ def run_benchmark():
                 mock.patch.object(pickle, "loads", wraps=pickle.loads) as loads:
             on_s, on_report, counters = _best_replay_seconds(name, params, True)
             pickles = dumps.call_count + loads.call_count
-        par_report, _, _ = _diagnose(name, params, True, workers=2)
-        identical = (
-            off_report.canonical_json()
-            == on_report.canonical_json()
-            == par_report.canonical_json()
-        )
+        identical = off_report.canonical_json() == on_report.canonical_json()
         rows.append(
             {
                 "scenario": name,
@@ -119,7 +111,7 @@ def run_benchmark():
 def check(rows):
     for row in rows:
         assert row["identical"], (
-            f"{row['scenario']}: forking/parallel changed the report"
+            f"{row['scenario']}: forking changed the report"
         )
         assert row["forks"] == row["replays"] and row["pickles"] == 0, row
     best = max(row["speedup"] for row in rows)

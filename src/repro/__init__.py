@@ -23,7 +23,7 @@ The stable programmatic entry point is :class:`repro.api.Session`
 
     from repro import Session
 
-    session = Session(scenario="SDN1", minimize=True, workers=4)
+    session = Session(scenario="SDN1", minimize=True)
     print(session.diagnose().summary())
 
     # or with your own program and executions:

@@ -14,7 +14,7 @@ Two construction modes:
 
       from repro.api import Session
 
-      session = Session(scenario="SDN1", minimize=True, workers=4)
+      session = Session(scenario="SDN1", minimize=True)
       print(session.diagnose().summary())
 
 - **Explicit mode** — bring your own program, executions and events::
@@ -26,11 +26,10 @@ Two construction modes:
       )
       report = session.diagnose()
 
-The knobs mirror :class:`repro.DiffProvOptions`: ``workers`` > 1 fans
-candidate replays out over a process pool and ``replay_cache=False``
+The knobs mirror :class:`repro.DiffProvOptions`: ``replay_cache=False``
 re-derives every candidate replay from scratch instead of forking it
-off one live base; both leave the report byte-identical
-(docs/performance.md).
+off one live base, and ``engine="reference"`` selects the oracle
+backend; both leave the report byte-identical (docs/performance.md).
 """
 
 from __future__ import annotations
@@ -140,8 +139,6 @@ class Session:
         evaluation backend for both executions; both produce
         byte-identical reports (docs/performance.md).  ``None`` keeps
         each execution's own config (the compiled default).
-    ``workers``
-        Process-pool width for candidate replays; 1 = serial.
     ``replay_cache``
         Fork candidate replays off one live base per execution
         (checkpoint/rollback) instead of re-deriving the log per
@@ -158,15 +155,12 @@ class Session:
         An existing :class:`repro.replay.cache.ReplayCache` to attach
         to the session's executions, so snapshots stay warm *across*
         sessions (they seed the replay base and answer repeated
-        candidates) — the diagnosis-service workers keep one per
+        candidates) — each diagnosis-service worker keeps one per
         process this way (docs/service.md).  Snapshot keys embed the
         log fingerprint, so a single cache safely serves many
         scenarios.  Ignored when ``replay_cache=False``.
     ``deadline_s``
         End-to-end wall-clock budget for each diagnose/autoref call.
-    ``resilience``
-        A :class:`repro.resilience.ResiliencePolicy` tuning the
-        self-healing candidate evaluator.
     ``repair``
         Run the rollback planner (:mod:`repro.repair`) after every
         successful diagnosis and attach ranked, replay-verified fix
@@ -201,7 +195,6 @@ class Session:
         telemetry=None,
         trace=None,
         engine=None,
-        workers: int = 1,
         replay_cache: bool = True,
         max_rounds: int = 10,
         minimize: bool = False,
@@ -210,7 +203,6 @@ class Session:
         resume: bool = False,
         cache=None,
         deadline_s: Optional[float] = None,
-        resilience=None,
         repair: bool = False,
         scenario_params: Optional[Dict] = None,
     ):
@@ -262,10 +254,8 @@ class Session:
             minimize=minimize,
             faults=faults,
             telemetry=self.telemetry,
-            workers=workers,
             replay_cache=replay_cache,
             deadline=deadline_s,
-            resilience=resilience,
             repair=repair,
         )
         self.journal_path = journal
@@ -473,8 +463,8 @@ class Session:
         Proposes up to ``limit`` candidate references from the good
         execution's provenance graph and returns the first successful
         diagnosis with a non-empty Δ (Section 4.9).  Honours the
-        session's ``workers`` setting, the journal knobs (rejected
-        candidates are skipped on resume) and the deadline.
+        journal knobs (rejected candidates are skipped on resume) and
+        the deadline.
         """
         check_option("limit", limit)
         self.setup()
@@ -636,9 +626,9 @@ class Session:
 
         Mismatched fingerprints make resume a typed JournalError —
         replaying verdicts into a different search would corrupt the
-        report.  ``workers`` and ``replay_cache`` are deliberately
-        absent: they do not change any verdict (the determinism
-        contract), so a serial run may resume a parallel one's journal.
+        report.  ``replay_cache`` is deliberately absent: it does not
+        change any verdict (the determinism contract), so an uncached
+        run may resume a cached one's journal.
         """
         opts = self.options
         plan = opts.faults
@@ -700,7 +690,4 @@ class Session:
 
     def __repr__(self):
         target = self.scenario_name or "explicit"
-        return (
-            f"Session({target}, workers={self.options.workers}, "
-            f"replay_cache={self.options.replay_cache})"
-        )
+        return f"Session({target}, replay_cache={self.options.replay_cache})"

@@ -91,13 +91,6 @@ def _tuning_parent() -> argparse.ArgumentParser:
         "reports are byte-identical (see docs/performance.md)",
     )
     parent.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool width for candidate replays; reports stay "
-        "byte-identical to the serial run (see docs/performance.md)",
-    )
-    parent.add_argument(
         "--no-replay-cache",
         action="store_true",
         help="re-derive every candidate replay from scratch instead of "
@@ -445,7 +438,6 @@ def _session(args, **extra) -> Session:
         telemetry=bool(
             getattr(args, "metrics", False) or getattr(args, "trace_out", None)
         ),
-        workers=getattr(args, "workers", 1),
         replay_cache=not getattr(args, "no_replay_cache", False),
         max_rounds=getattr(args, "max_rounds", 10),
         minimize=getattr(args, "minimize", False),

@@ -57,7 +57,7 @@ class AutoReferenceResult:
         self.reference = reference
         self.tried = list(tried)
         # Sweep-level resilience section (journal resume savings,
-        # deadline expiry, evaluator healing); None when inactive.
+        # deadline expiry); None when inactive.
         self.resilience = resilience
 
     @property
@@ -134,14 +134,7 @@ def propose_stream_references(
 
 
 def _probe_reference(shared, index):
-    """Diagnose the bad event against candidate reference ``index``.
-
-    Inline this is the live diagnosis; on a pool worker it runs on a
-    pickled clone of the executions whose run context shed telemetry,
-    journal and deadline — the returned report is what a serial
-    diagnosis of the same candidate produces, minus the telemetry
-    section.
-    """
+    """Diagnose the bad event against candidate reference ``index``."""
     program, good_execution, bad_execution, bad_event, run, events = shared
     return DiffProv(program, run.options).diagnose(
         good_execution, bad_execution, events[index], bad_event
@@ -163,7 +156,6 @@ def auto_diagnose(
     bad_event: Tuple,
     options: Optional[DiffProvOptions] = None,
     limit: int = 10,
-    workers: Optional[int] = None,
 ) -> AutoReferenceResult:
     """Diagnose ``bad_event`` without an operator-supplied reference.
 
@@ -171,16 +163,9 @@ def auto_diagnose(
     the same execution as the bad one (partial failures) or an earlier
     one (sudden failures).  Returns the first successful diagnosis with
     a non-empty Δ, together with every candidate that was tried.
-
-    ``workers`` (default: ``options.workers``) > 1 evaluates candidate
-    diagnoses speculatively in waves of that size on a process pool.
-    Results are consumed in ranking order and the sweep stops at the
-    first success, so the chosen reference, its report, and the tried
-    list are identical to the serial sweep — candidates beyond the
-    winner are discarded unread (docs/performance.md).
     """
     opts = options or DiffProvOptions()
-    run = RunContext(opts, workers=workers)
+    run = RunContext(opts)
     # Every candidate diagnosis shares the sweep's end-to-end deadline
     # (a raw seconds value would otherwise restart per candidate); the
     # original options value is restored.
@@ -196,8 +181,7 @@ def auto_diagnose(
         stopped_early = False
         # One live base per execution serves the whole sweep: every
         # candidate diagnosis replays the same logs, so later candidates
-        # fork off what the first one derived (on a worker: for every
-        # candidate it is handed).
+        # fork off what the first one derived.
         with run.scope(good_execution, bad_execution):
             try:
                 # A candidate a previous run diagnosed and *rejected* is
@@ -213,7 +197,6 @@ def auto_diagnose(
                     keys=[str(event) for event in events],
                     journaled=_accepted,
                     reuse=_rejected,
-                    width=run.workers,
                 ):
                     tried.append(candidates[index])
                     if not _rejected(verdict) and _accepted(verdict):

@@ -19,7 +19,7 @@ of the good tree (Section 4.7).
 
 This file is the algorithm plus the degradation predicates interleaved
 with it.  What records or bounds a run — journal, deadline, telemetry,
-fault injectors, the candidate pool — is :mod:`repro.core.harness`,
+fault injectors, the candidate sweep — is :mod:`repro.core.harness`,
 reached here only through ``self.run`` (docs/algorithm.md maps each
 Section 4.x to its function).
 """
@@ -74,11 +74,9 @@ class DiffProvOptions:
         "minimize",
         "faults",
         "telemetry",
-        "workers",
         "replay_cache",
         "journal",
         "deadline",
-        "resilience",
         "repair",
     )
 
@@ -93,11 +91,9 @@ class DiffProvOptions:
         minimize: bool = False,
         faults=None,
         telemetry=None,
-        workers: int = 1,
         replay_cache: bool = True,
         journal=None,
         deadline=None,
-        resilience=None,
         repair: bool = False,
     ):
         self.max_rounds = max_rounds
@@ -120,11 +116,6 @@ class DiffProvOptions:
         # every phase of the diagnosis (see repro.observability).  None
         # (or a NullTelemetry) keeps every hot path uninstrumented.
         self.telemetry = telemetry
-        # Candidate replays (the minimality post-pass, autoref's
-        # reference sweep) fan out over a process pool when workers > 1.
-        # Results are consumed in serial order, so reports stay
-        # byte-identical to workers=1 (docs/performance.md).
-        self.workers = workers
         # Candidate replays fork off one live base per execution, and
         # an attached repro.replay.cache.ReplayCache seeds it; a pure
         # speed-up.  replay_cache=False makes every replay re-derive.
@@ -138,9 +129,6 @@ class DiffProvOptions:
         # Expiry degrades the run to a partial report with the
         # best-so-far candidates.
         self.deadline = deadline
-        # Optional ResiliencePolicy for the candidate evaluator (pool
-        # respawn bound, per-candidate timeouts, hedging).
-        self.resilience = resilience
         # Rollback planning (repro.repair, docs/repair.md): after a
         # successful diagnosis, enumerate and replay-verify ranked fix
         # plans and attach them as report.repair.  Distinct from
@@ -210,10 +198,7 @@ class DiffProv:
 def _probe_minimize_trial(shared, index):
     """Whether the trees still align under minimality trial ``index``.
 
-    The candidate probe of :meth:`_DiagnosisState._minimize`: inline it
-    runs on the live diagnosis state; on a pool worker, on the shipped
-    clone (whose execution kept ``fork_replays``, so trials landing on
-    one worker fork off one live base for its lifetime).
+    The candidate probe of :meth:`_DiagnosisState._minimize`.
     """
     state, path, good_root, anchor_index, trials = shared
     with state.run.timed("replay"):
@@ -233,7 +218,7 @@ class _DiagnosisState:
         self, program: Program, run: RunContext, good: Execution, bad: Execution
     ):
         self.program = program
-        # The run harness: journal, deadline, telemetry, candidate pool.
+        # The run harness: journal, deadline, telemetry, candidate sweep.
         self.run = run
         self.good = good
         self.bad = bad
@@ -507,7 +492,7 @@ class _DiagnosisState:
 
         The trials of every remaining change go to one candidate sweep
         (:meth:`RunContext.sweep`), which hands back verdicts in serial
-        order however it obtained them.  The first aligned trial is
+        order, replayed or journalled.  The first aligned trial is
         committed; the trials after it were built against the old
         change set, so they are re-derived and swept afresh.
         """
@@ -532,9 +517,7 @@ class _DiagnosisState:
                     + "|".join(change.describe() for change in trial)
                     for trial in trials
                 ] if pure else None,
-                pool=pure and len(pending) > 1,
                 counter=self,
-                time_waves=True,
             ):
                 if aligned:
                     self.changes = trials[index]
@@ -552,15 +535,15 @@ class _DiagnosisState:
 
     def _verdicts_pure(self) -> bool:
         """Whether a minimality verdict is a pure function of its trial
-        — and may therefore be journalled, resumed and speculated.
+        — and may therefore be journalled and resumed.
 
         Under observed degradation the divergence check *mutates*
         diagnosis state (UNKNOWN notes, partial-verify flags), so a
-        skipped or off-process replay would change the report; degraded
-        runs recompute every trial in order instead (still
-        byte-identical — the computation is deterministic).  Host-only
-        fault plans (worker-crash, snapshot-corrupt) are fine: they
-        never touch replay semantics.
+        skipped replay would change the report; degraded runs recompute
+        every trial in order instead (still byte-identical — the
+        computation is deterministic).  A host-only fault plan
+        (``snapshot-corrupt``) is fine: it never touches replay
+        semantics.
         """
         plan = self.run.fault_plan
         return (plan is None or plan.host_only()) and not self._degraded()
@@ -1068,10 +1051,10 @@ class _DiagnosisState:
     def _confidences(self, success: bool) -> Optional[List[str]]:
         """Per-change confidence levels; None when faults never applied.
 
-        Host-only plans (worker-crash, snapshot-corrupt) don't count as
-        faults *of the diagnosed network*: the evaluator and cache heal
-        them completely, so the report stays byte-identical to a
-        fault-free run (docs/resilience.md).
+        A host-only plan (``snapshot-corrupt``) doesn't count as a
+        fault *of the diagnosed network*: the cache quarantines the
+        damaged snapshot and the replay re-derives it, so the report
+        stays byte-identical to a fault-free run (docs/resilience.md).
         """
         plan = self.run.fault_plan
         network_faults = plan is not None and not plan.host_only()

@@ -3,9 +3,8 @@
 :mod:`repro.core.diffprov` is the paper's algorithm.  Everything that
 is a recording *of* a run, or a bound *on* it, lives here instead: the
 write-ahead journal, the end-to-end deadline, the telemetry span tree
-and metric fold, the fault plan's host-side injectors, the candidate
-process pool and its healing counters, the caller's replay cache, and
-the rollback planner's invocation.  Two pieces:
+and metric fold, the fault plan's host-side injectors, the caller's
+replay cache, and the rollback planner's invocation.  Two pieces:
 
 - :class:`RunContext` — one per ``diagnose()`` / ``auto_diagnose()``
   call (a stand-alone :class:`~repro.repair.RollbackPlanner` gets an
@@ -16,14 +15,13 @@ the rollback planner's invocation.  Two pieces:
   *in serial order*; the sweep owns how a verdict is obtained and
   accounted for, the caller's loop body owns what to do with it.
 
-Pickling a context (it rides to candidate workers inside the shipped
-diagnosis state or planner) strips whatever is process-local; see
-:meth:`RunContext.__getstate__`.
+Candidates are evaluated one at a time, in this process, on the live
+objects: each is an O(Δ) checkpoint/rollback on the execution's replay
+base (docs/performance.md, "Why there is no candidate pool").
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import time
 from contextlib import contextmanager, nullcontext
@@ -33,16 +31,9 @@ from ..errors import DeadlineExceeded, DiagnosisFailure, FaultError, ReproError
 from ..faults import FaultInjector
 from ..observability import active as _active_telemetry
 from ..provenance.distributed import PartitionedProvenance
-from ..replay.parallel import CandidateEvaluator
 from ..resilience import Deadline
 
 __all__ = ["RunContext"]
-
-
-def _run_indexed(packed, position):
-    """Pool-side job: candidate ``wave[position]`` of the caller's list."""
-    probe, shared, wave = packed
-    return probe(shared, wave[position])
 
 
 def _any_verdict(value) -> bool:
@@ -54,17 +45,14 @@ def _identity(value):
 
 
 class RunContext:
-    """Journal, deadline, telemetry, faults, pool and cache of one run."""
+    """Journal, deadline, telemetry, faults and cache of one run."""
 
-    def __init__(self, options=None, workers: Optional[int] = None):
+    def __init__(self, options=None):
         self.options = options
         self.telemetry = _active_telemetry(getattr(options, "telemetry", None))
         self.journal = getattr(options, "journal", None)
         self.deadline = Deadline.of(getattr(options, "deadline", None))
         self.fault_plan = getattr(options, "faults", None)
-        if workers is None:
-            workers = getattr(options, "workers", 1)
-        self.workers = max(1, int(workers or 1))
         # The caller's ReplayCache seeding this run's replays, if any
         # (found attached to an execution by scope()).
         self.cache = None
@@ -72,21 +60,6 @@ class RunContext:
         # Set when the budget ran out inside an optional phase
         # (minimize, repair) — the diagnosis itself still succeeds.
         self.expired_in: Optional[str] = None
-        self._evaluator: Optional[CandidateEvaluator] = None
-
-    def __getstate__(self):
-        # Shipped to candidate workers inside the diagnosis state / the
-        # planner: telemetry (wall clocks, open spans), the journal (an
-        # open fsync'd file handle), the deadline (a live clock
-        # callable), the parent's snapshot cache and the pool itself
-        # stay behind — on the context and on its options alike.
-        state = self.__dict__.copy()
-        for name in ("telemetry", "journal", "deadline", "cache", "_evaluator"):
-            state[name] = None
-        if self.options is not None:
-            options = state["options"] = copy.copy(self.options)
-            options.telemetry = options.journal = options.deadline = None
-        return state
 
     # ------------------------------------------------------------------
     # Scoping a run over its two executions.
@@ -201,51 +174,28 @@ class RunContext:
         keys: Optional[Sequence[str]] = None,
         journaled=_identity,
         reuse=_any_verdict,
-        pool: bool = True,
-        width: Optional[int] = None,
         counter=None,
-        time_waves: bool = False,
     ) -> Iterator[PyTuple[int, object]]:
         """Yield ``(index, verdict)`` for candidates ``0..count-1``.
 
-        ``probe(shared, index)`` evaluates one candidate; it must be a
-        module-level function and the verdicts independent of each
-        other.  The contract, whatever produced a verdict:
+        ``probe(shared, index)`` evaluates one candidate on the live
+        objects.  The contract:
 
-        - **Order.**  Verdicts are yielded in index order, each exactly
-          when a serial loop calling the probe would have produced it;
-          the consumer may stop early (or start a new sweep) and
-          nothing past that point is accounted for.  An exception the
-          probe raised surfaces at its candidate's position.
+        - **Order.**  Verdicts are yielded in index order, one
+          evaluation at a time; the consumer may stop early (or start a
+          new sweep) and nothing past that point is evaluated or
+          accounted for.  An exception the probe raised surfaces at its
+          candidate's position.
         - **Journal.**  With ``keys`` (one per candidate) and a journal,
           a recorded verdict that ``reuse`` accepts is yielded *instead
           of* evaluating; every evaluated candidate's ``journaled(
           result)`` is recorded before it is yielded.
-        - **Pool.**  With ``workers > 1``, a replay-deterministic fault
-          plan and ``pool``, the next ``width`` (default: all)
-          unjournaled candidates are evaluated speculatively on the
-          process pool whenever at least two remain; otherwise, and
-          when the context cannot be pickled, the probe runs inline on
-          the live objects — no evaluator, no pickle.
         - **Accounting.**  ``counter.replays`` grows by one per verdict
-          yielded — journal hit, pool result or inline alike — so the
-          count is identical across workers x cache x resume.  The
-          deadline is checked (as phase ``kind``) before each inline
-          evaluation and each pool wave.  ``time_waves`` times pool
-          waves under ``kind`` (inline probes time themselves).
+          yielded — journal hit or evaluation alike — so the count is
+          identical across cache x resume.  The deadline is checked (as
+          phase ``kind``) before each evaluation.
         """
         journal = self.journal if keys is not None else None
-        parallel = pool and self.workers > 1 and (
-            self.fault_plan is None or self.fault_plan.host_only()
-        )
-
-        def unjournaled(index: int) -> bool:
-            if journal is None:
-                return True
-            value = journal.peek(kind, keys[index])
-            return value is None or not reuse(value)
-
-        speculated: Dict[int, PyTuple[str, object]] = {}
         for index in range(count):
             verdict = None
             if journal is not None:
@@ -254,55 +204,13 @@ class RunContext:
                 if verdict is not None and not reuse(verdict):
                     verdict = None
             if verdict is None:
-                if index not in speculated:
-                    self.check(kind)
-                    wave = [
-                        i for i in range(index, count) if unjournaled(i)
-                    ][:width] if parallel else ()
-                    if len(wave) > 1:
-                        with self.timed(kind) if time_waves else nullcontext():
-                            outcomes = self._pool().evaluate(
-                                _run_indexed, (probe, shared, wave), len(wave)
-                            )
-                        if outcomes is None:
-                            # Context not picklable (e.g. an execution
-                            # stand-in): inline from here on.
-                            parallel = False
-                        else:
-                            speculated.update(zip(wave, outcomes))
-                if index in speculated:
-                    status, verdict = speculated.pop(index)
-                    if status == "err":
-                        raise verdict
-                else:
-                    verdict = probe(shared, index)
+                self.check(kind)
+                verdict = probe(shared, index)
                 if journal is not None:
                     journal.record(kind, keys[index], journaled(verdict))
             if counter is not None:
                 counter.replays += 1
             yield index, verdict
-
-    def _pool(self) -> CandidateEvaluator:
-        """The run's one candidate evaluator, built on first use."""
-        if self._evaluator is None:
-            plan = self.fault_plan
-            self._evaluator = CandidateEvaluator(
-                self.workers,
-                self.telemetry,
-                policy=getattr(self.options, "resilience", None),
-                faults=(
-                    FaultInjector(plan, "evaluator")
-                    if plan is not None
-                    else None
-                ),
-            )
-        return self._evaluator
-
-    def evaluator_counters(self) -> Dict[str, int]:
-        """Non-zero pool-healing counters (restarts, timeouts, hedges)."""
-        if self._evaluator is None:
-            return {}
-        return {k: v for k, v in self._evaluator.counters().items() if v}
 
     # ------------------------------------------------------------------
     # The initial provenance query.
@@ -451,8 +359,6 @@ class RunContext:
         if self.journal is not None:
             telemetry.set_gauge("journal.writes", self.journal.writes)
             telemetry.set_gauge("journal.skipped", self.journal.skipped)
-        for name, value in sorted(self.evaluator_counters().items()):
-            telemetry.set_gauge(f"parallel.{name}_total", value)
         telemetry.set_gauge("log.good_bytes", state.good.log.total_bytes)
         telemetry.set_gauge("log.good_entries", len(state.good.log))
         telemetry.set_gauge("log.bad_bytes", state.bad.log.total_bytes)
@@ -476,9 +382,6 @@ class RunContext:
                 "skipped_candidates": self.journal.skipped,
                 "entries_written": self.journal.writes,
             }
-        counters = self.evaluator_counters()
-        if counters:
-            section["evaluator"] = counters
         if self.cache is not None and self.cache.corrupt:
             section["cache"] = {"corrupt": self.cache.corrupt}
         if self.deadline is not None:

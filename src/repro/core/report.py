@@ -122,18 +122,18 @@ class DiagnosisReport:
         # diagnosis ran without telemetry.
         self.telemetry = telemetry
         # Resilience section (docs/resilience.md): journal path and
-        # resume savings, evaluator pool restarts/timeouts, quarantined
-        # cache snapshots, deadline slack.  None when no resilience
-        # machinery was active.  Like timings/telemetry it describes
-        # *how* the diagnosis ran and is excluded from canonical_dict()
-        # — a resumed run differs here (candidates skipped) while its
-        # canonical report stays byte-identical.
+        # resume savings, quarantined cache snapshots, deadline slack.
+        # None when no resilience machinery was active.  Like
+        # timings/telemetry it describes *how* the diagnosis ran and is
+        # excluded from canonical_dict() — a resumed run differs here
+        # (candidates skipped) while its canonical report stays
+        # byte-identical.
         self.resilience = resilience
         # Rollback-planning section (repro.repair, docs/repair.md):
         # ranked, replay-verified fix plans plus the rejected
         # candidates.  Unlike timings/telemetry/resilience it is a
         # *conclusion*, so it IS part of canonical_dict() and must be
-        # byte-identical across workers × cache × resume.  None when
+        # byte-identical across cache × resume.  None when
         # planning was not requested.
         self.repair = repair
 
@@ -205,12 +205,12 @@ class DiagnosisReport:
     def canonical_dict(self) -> Dict[str, object]:
         """The report's deterministic content, as plain JSON types.
 
-        This is the determinism contract of the replay cache and the
-        parallel candidate evaluator (docs/performance.md): everything
-        here is byte-identical across ``workers`` settings and cache
-        states.  Wall-clock ``timings`` and the ``telemetry`` section
-        are deliberately excluded — they measure *how* the diagnosis
-        ran, not what it concluded.
+        This is the determinism contract of the replay cache, the
+        engine backends and journal resume (docs/performance.md):
+        everything here is byte-identical across them.  Wall-clock
+        ``timings`` and the ``telemetry`` section are deliberately
+        excluded — they measure *how* the diagnosis ran, not what it
+        concluded.
         """
         return {
             "success": self.success,
@@ -348,14 +348,6 @@ class DiagnosisReport:
                     f"candidate(s) skipped)"
                 )
             lines.append(f"    {detail}")
-        evaluator = section.get("evaluator")
-        if evaluator:
-            lines.append(
-                f"    evaluator: {evaluator.get('pool_restarts', 0)} pool "
-                f"restart(s), {evaluator.get('timeouts', 0)} timeout(s), "
-                f"{evaluator.get('hedges', 0)} hedge(s), "
-                f"{evaluator.get('inline_fallbacks', 0)} inline fallback(s)"
-            )
         cache = section.get("cache")
         if cache:
             lines.append(

@@ -23,22 +23,6 @@ from ..provenance.tree import TupleNode
 __all__ = ["seed_var", "seed_env", "TaintAnnotation"]
 
 
-def _tree_nodes(root: TupleNode) -> List[TupleNode]:
-    """All nodes of a tree in a deterministic (preorder) traversal.
-
-    Used to translate node-identity keys to positional keys across
-    pickling; the only requirement is that the order is a pure function
-    of the tree shape.
-    """
-    order: List[TupleNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    return order
-
-
 def seed_var(index: int) -> Var:
     """The formula variable standing for seed field ``index``."""
     return Var(f"${index}")
@@ -74,46 +58,6 @@ class TaintAnnotation:
         self._field_formulas: Dict[int, List[Optional[Expr]]] = {}
         self._var_formulas: Dict[int, Dict[str, Expr]] = {}
         self._annotate(root)
-
-    # -- pickling ------------------------------------------------------------
-    #
-    # The formula tables are keyed by node identity (id()), which does
-    # not survive pickling.  For transport to candidate-evaluator
-    # workers the keys are remapped to deterministic tree-traversal
-    # indices and back; node identity within one pickle payload is
-    # preserved by the pickle memo, so a worker that receives the
-    # annotation together with the tree (and any paths into it) sees
-    # consistent lookups.
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        index_of = {
-            id(node): index
-            for index, node in enumerate(_tree_nodes(self.root))
-        }
-        state["_field_formulas"] = {
-            index_of[key]: value
-            for key, value in self._field_formulas.items()
-            if key in index_of
-        }
-        state["_var_formulas"] = {
-            index_of[key]: value
-            for key, value in self._var_formulas.items()
-            if key in index_of
-        }
-        return state
-
-    def __setstate__(self, state):
-        field_by_index = state.pop("_field_formulas")
-        var_by_index = state.pop("_var_formulas")
-        self.__dict__.update(state)
-        nodes = _tree_nodes(self.root)
-        self._field_formulas = {
-            id(nodes[index]): value for index, value in field_by_index.items()
-        }
-        self._var_formulas = {
-            id(nodes[index]): value for index, value in var_by_index.items()
-        }
 
     # -- public accessors ---------------------------------------------------
 

@@ -103,13 +103,12 @@ class Engine:
 
     def __getstate__(self):
         # Telemetry holds wall clocks and open span stacks — strip it so
-        # engine state can be snapshotted (replay cache) or shipped to a
-        # worker process; callers reattach their own instance after
-        # restore.
+        # engine state can be snapshotted (replay cache); callers
+        # reattach their own instance after restore.
         state = self.__dict__.copy()
         state["telemetry"] = None
-        # Deadlines hold a live clock callable and are parent-local;
-        # workers are bounded by the evaluator's pool timeouts instead.
+        # Deadlines hold a live clock callable and belong to the run
+        # that set them, not to the snapshot.
         state["deadline"] = None
         # The interning pool is a pure cache: dropping it keeps
         # snapshots small, and it repopulates on first use after a

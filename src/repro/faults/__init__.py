@@ -14,7 +14,7 @@ network's links/switches, and the partitioned provenance store's remote
 fetches.  A ``None`` injector (or a zero plan) is a guaranteed no-op.
 """
 
-from .injector import FaultInjector, worker_crash_decision
+from .injector import FaultInjector
 from .plan import FaultPlan
 
-__all__ = ["FaultInjector", "FaultPlan", "worker_crash_decision"]
+__all__ = ["FaultInjector", "FaultPlan"]

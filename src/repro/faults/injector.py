@@ -31,25 +31,7 @@ from typing import Dict, List
 
 from .plan import FaultPlan
 
-__all__ = ["FaultInjector", "worker_crash_decision"]
-
-
-def worker_crash_decision(seed: int, rate: float, index: int) -> bool:
-    """Whether the worker handling candidate ``index`` should crash.
-
-    A pure function of ``(seed, rate, index)`` — *not* a stream — because
-    the decision must be computable inside a freshly-spawned pool worker
-    with no shared injector state, and must come out the same when the
-    evaluator re-submits the candidate after healing the pool (only the
-    first attempt crashes; see ``repro.replay.parallel``).
-    """
-    if rate <= 0.0:
-        return False
-    if rate >= 1.0:
-        return True
-    label = f"worker-crash:{index}".encode("utf-8")
-    draw = random.Random(((seed & 0xFFFFFFFF) << 32) | zlib.crc32(label))
-    return draw.random() < rate
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
@@ -184,11 +166,6 @@ class FaultInjector:
             self._note("snapshot-corrupt", f"#{self.counters['snapshots_corrupted']}")
             return True
         return False
-
-    def crash_worker(self, index: int) -> bool:
-        """Whether the first attempt at candidate ``index`` crashes its
-        worker (delegates to :func:`worker_crash_decision`)."""
-        return worker_crash_decision(self.plan.seed, self.plan.worker_crash, index)
 
     # -- determinism surface -------------------------------------------------
 

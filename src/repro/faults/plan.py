@@ -26,12 +26,12 @@ from ..errors import FaultSpecError
 __all__ = ["FaultPlan"]
 
 # spec key -> (attribute, parser); rate keys share a range check.
-# worker-crash and snapshot-corrupt are *host* faults: they hit the
-# diagnoser's own pool workers and snapshot cache, not the diagnosed
-# network (docs/resilience.md).  The event-* and clock-skew rates are
-# *stream* faults: they perturb the transport between a monitored
-# network and the streaming monitor's ingestion front-end, never the
-# diagnosed replays themselves (docs/streaming.md).
+# snapshot-corrupt is the one *host* fault: it hits the diagnoser's own
+# snapshot cache, not the diagnosed network (docs/resilience.md).  The
+# event-* and clock-skew rates are *stream* faults: they perturb the
+# transport between a monitored network and the streaming monitor's
+# ingestion front-end, never the diagnosed replays themselves
+# (docs/streaming.md).
 _RATE_KEYS = {
     "drop": "drop",
     "dup": "duplicate",
@@ -40,7 +40,6 @@ _RATE_KEYS = {
     "loss": "prov_loss",
     "fetch-loss": "fetch_loss",
     "link-loss": "link_loss",
-    "worker-crash": "worker_crash",
     "snapshot-corrupt": "snapshot_corrupt",
     "event-drop": "event_drop",
     "event-dup": "event_dup",
@@ -78,7 +77,6 @@ class FaultPlan:
         "unreachable",
         "flaps",
         "crashes",
-        "worker_crash",
         "snapshot_corrupt",
         "event_drop",
         "event_dup",
@@ -102,7 +100,6 @@ class FaultPlan:
         unreachable: PyTuple[str, ...] = (),
         flaps: PyTuple[PyTuple[str, Optional[int], int, int], ...] = (),
         crashes: PyTuple[PyTuple[str, int, int], ...] = (),
-        worker_crash: float = 0.0,
         snapshot_corrupt: float = 0.0,
         event_drop: float = 0.0,
         event_dup: float = 0.0,
@@ -117,7 +114,6 @@ class FaultPlan:
             ("prov_loss", prov_loss),
             ("fetch_loss", fetch_loss),
             ("link_loss", link_loss),
-            ("worker_crash", worker_crash),
             ("snapshot_corrupt", snapshot_corrupt),
             ("event_drop", event_drop),
             ("event_dup", event_dup),
@@ -148,7 +144,6 @@ class FaultPlan:
         self.unreachable = tuple(sorted(unreachable))
         self.flaps = tuple(sorted(flaps, key=_flap_key))
         self.crashes = tuple(sorted(crashes))
-        self.worker_crash = float(worker_crash)
         self.snapshot_corrupt = float(snapshot_corrupt)
         self.event_drop = float(event_drop)
         self.event_dup = float(event_dup)
@@ -196,10 +191,10 @@ class FaultPlan:
     # -- introspection -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        """True when the plan can never inject anything."""
+        """True when the plan can never inject anything: no network
+        fault, no snapshot corruption, no stream fault."""
         return (
             self.host_only()
-            and self.worker_crash == 0.0
             and self.snapshot_corrupt == 0.0
             and not self.has_stream_faults()
         )
@@ -223,12 +218,13 @@ class FaultPlan:
     def host_only(self) -> bool:
         """True when only the diagnoser host can be faulted.
 
-        Worker crashes and snapshot corruption never touch the
-        diagnosed network: replays, divergence checks, and therefore
-        the report are unaffected (the evaluator retries crashed
-        candidates, the cache re-derives corrupt snapshots).  Callers
-        that gate pure-speed-up machinery on "no network faults" — the
-        parallel minimality pass — use this instead of :meth:`is_zero`.
+        Snapshot corruption never touches the diagnosed network:
+        replays, divergence checks, and therefore the report are
+        unaffected (the cache quarantines a corrupt snapshot and the
+        replay re-derives it).  Callers that ask "are the *network's*
+        replays fault-free" — whether a minimality verdict may be
+        journalled, whether changes carry confidence levels — use this
+        instead of :meth:`is_zero`.
         """
         return (
             self.drop == 0.0

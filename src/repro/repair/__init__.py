@@ -26,7 +26,7 @@ The entry points an operator actually uses live one layer up:
 protocol's ``repair`` option, and the streaming monitor's ``repair``
 flag.  All of them attach the planner's deterministic section as
 ``report.repair`` (part of ``canonical_dict()``: byte-identical across
-workers × replay-cache × crash-resume).
+replay-cache × crash-resume).
 """
 
 from .planner import (

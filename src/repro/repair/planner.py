@@ -6,10 +6,9 @@ diagnosis.  The planner enumerates a small deterministic candidate set
 (revert-to-reference, per-change singletons, insert-only and
 delete-only narrowings of each modification), verifies each candidate
 by replaying the bad execution with the plan applied — forked off
-the execution's live replay base when the plan's fork point allows, and
-over :class:`~repro.replay.parallel.CandidateEvaluator` waves when
-``workers > 1`` — and keeps only plans where the bad symptom is gone
-**and** every good probe still holds (:mod:`repro.repair.probes`).
+the execution's live replay base when the plan's fork point allows —
+and keeps only plans where the bad symptom is gone **and** every good
+probe still holds (:mod:`repro.repair.probes`).
 
 Survivors are ranked ascending by ``(edit size, blast radius, touched
 tuples, plan key)``; the winner is the smallest fix that lands the
@@ -103,8 +102,7 @@ class RollbackPlan:
 
 def _probe_plan(shared, index):
     """Verify rollback plan ``index`` — the candidate probe of
-    :meth:`RollbackPlanner.plan` (inline on the live planner, or on a
-    pool worker's clone of it)."""
+    :meth:`RollbackPlanner.plan`."""
     planner, plans = shared
     return planner.verify(plans[index])
 
@@ -129,13 +127,13 @@ class RollbackPlanner:
         self.bad_event = bad_event
         self.changes = list(changes)
         self.anchor_index = anchor_index
-        # Journal, deadline, telemetry and candidate pool of the
+        # Journal, deadline, telemetry and candidate sweep of the
         # diagnosis this planner serves; inert when used stand-alone.
         self.run = run if run is not None else RunContext()
         # Logical replay accounting: +1 per verdict consumed whether it
         # came from a live replay, a snapshot restore, or a journal hit
         # — the count is part of the canonical section, so it must be
-        # identical across workers × cache × resume.
+        # identical across cache × resume.
         self.replays = 0
         # prepare() reduces its two replays to these; no result is kept.
         self.probes = frozenset()

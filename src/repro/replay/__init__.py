@@ -12,7 +12,6 @@ from .log import EventLog, LogEntry, estimate_size
 from .replayer import ReplayResult, replay, Change
 from .cache import ReplayCache
 from .execution import Execution
-from .parallel import CandidateEvaluator
 
 __all__ = [
     "EventLog",
@@ -23,5 +22,4 @@ __all__ = [
     "Change",
     "ReplayCache",
     "Execution",
-    "CandidateEvaluator",
 ]

@@ -319,22 +319,6 @@ class Execution:
         self._base = None
         self._generation += 1
 
-    def __getstate__(self):
-        # Shipped to replay-evaluator worker processes: strip telemetry
-        # (wall clocks, open spans) and the replay cache (each process
-        # keeps its own); strip the materialized result and the live
-        # base too — workers re-derive what they need.  fork_replays
-        # travels: a worker's copy keeps one base for its lifetime.
-        state = self.__dict__.copy()
-        state["telemetry"] = None
-        state["replay_cache"] = None
-        state["_materialized"] = None
-        state["_base"] = None
-        # Deadlines are parent-local (live clock callable); workers are
-        # bounded by the evaluator's pool timeouts instead.
-        state["deadline"] = None
-        return state
-
     def __repr__(self):
         return (
             f"Execution({self.name!r}, mode={self.mode!r}, "

@@ -11,20 +11,16 @@ this package covers failures of the *diagnosing host*:
   miss or a typed error, never an unpickling crash;
 - :mod:`repro.resilience.deadline` — an end-to-end wall-clock budget
   threaded through engine steps, distributed fetches, and candidate
-  waves (``--deadline-s``);
-- :mod:`repro.resilience.policy` — the self-healing knobs of the
-  parallel candidate evaluator (pool respawn, timeouts, hedging).
+  sweeps (``--deadline-s``).
 """
 
 from .deadline import Deadline
 from .integrity import checksum_line, digest_text, frame, unframe, verify_line
 from .journal import SCHEMA_VERSION, DiagnosisJournal, request_journal_path
-from .policy import ResiliencePolicy
 
 __all__ = [
     "Deadline",
     "DiagnosisJournal",
-    "ResiliencePolicy",
     "SCHEMA_VERSION",
     "request_journal_path",
     "frame",

@@ -221,14 +221,9 @@ class DiagnosisJournal:
         if hold_after is not None and self._verdict_writes == int(hold_after):
             self._test_hold()
 
-    def peek(self, kind: str, key: str):
-        """A recorded verdict, or None — without consuming it (planning
-        which candidates still need evaluating is not skipped work)."""
-        return self._verdicts.get((kind, key))
-
     def lookup(self, kind: str, key: str):
         """A recorded verdict, or None.  Hits count as skipped work."""
-        value = self.peek(kind, key)
+        value = self._verdicts.get((kind, key))
         if value is not None:
             self.skipped += 1
         return value

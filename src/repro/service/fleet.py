@@ -1,13 +1,12 @@
 """The sharded fleet of persistent diagnosis worker processes.
 
 Each :class:`WorkerShard` owns one long-lived worker process (a
-single-worker ``ProcessPoolExecutor`` over the same fork-preferring
-context as :func:`repro.replay.parallel.pool_mp_context`) that serves
-one request at a time.  Persistence is the point: a worker that has
-diagnosed a scenario once keeps a warm
-:class:`~repro.replay.cache.ReplayCache` in its process — keyed by log
-fingerprint, so repeat workloads fork snapshots instead of re-deriving
-baseline state, across requests and across tenants.
+single-worker ``ProcessPoolExecutor`` over the fork-preferring
+:func:`pool_mp_context`) that serves one request at a time.
+Persistence is the point: a worker that has diagnosed a scenario once
+keeps a warm :class:`~repro.replay.cache.ReplayCache` in its process —
+keyed by log fingerprint, so repeat workloads fork snapshots instead of
+re-deriving baseline state, across requests and across tenants.
 
 Robustness model (docs/service.md):
 
@@ -28,21 +27,35 @@ Robustness model (docs/service.md):
   crash (the journal makes the retry cheap).
 
 Worker-side job execution lives in :func:`_worker_job`, a module-level
-function (pickled by reference, like the candidate evaluator's jobs).
+function (pickled by reference).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
 import os
 import signal
 import time as _time
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ServiceError
-from ..replay.parallel import pool_mp_context
 
 __all__ = ["CircuitBreaker", "WorkerDied", "WorkerFleet", "WorkerShard"]
+
+
+def pool_mp_context():
+    """The multiprocessing context for diagnosis worker processes.
+
+    Prefer fork on platforms that have it: parent state is shared
+    copy-on-write and worker start-up is milliseconds.  Spawn-only
+    platforms get the default context — identical semantics, slower
+    start.
+    """
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX
+        return multiprocessing.get_context()
 
 
 class WorkerDied(ServiceError):

@@ -7,7 +7,7 @@ the request ``id`` and carries one of four statuses:
 ``ok``
     The diagnosis ran.  ``report`` holds the summary fields and
     ``canonical`` the byte-exact :meth:`DiagnosisReport.canonical_json`
-    string (the determinism contract: identical across workers, cache
+    string (the determinism contract: identical across shards, cache
     states, and crash-resume).
 ``overloaded``
     The request was *refused at admission* — queue full, quota

@@ -58,11 +58,10 @@ class TestConstruction:
 
     def test_knobs_reach_the_options(self):
         session = Session(
-            scenario="SDN1", workers=4, replay_cache=False,
+            scenario="SDN1", replay_cache=False,
             max_rounds=3, minimize=True, taint=False,
         )
         options = session.options
-        assert options.workers == 4
         assert options.replay_cache is False
         assert options.max_rounds == 3
         assert options.minimize is True
@@ -128,12 +127,6 @@ class TestFacadeParity:
         records = Session(scenario="SDN1").export(path)
         assert records > 0
         assert len(load_graph(path)) > 0
-
-    def test_parallel_session_matches_serial(self):
-        serial = Session(scenario="SDN1", minimize=True).diagnose()
-        parallel = Session(scenario="SDN1", minimize=True,
-                           workers=2).diagnose()
-        assert parallel.canonical_json() == serial.canonical_json()
 
 
 class TestExplicitMode:

@@ -1,14 +1,15 @@
 """The seam between Section 4 and the run harness (repro.core.harness).
 
-Two contracts: ``core/diffprov.py`` is the algorithm and imports none
-of the machinery that records or bounds a run; and the one candidate
-sweep yields the same verdicts, replay count and journal savings
-whether a verdict came from the journal, a pool worker or an inline
-call — under every policy a consumer's loop body applies to it.
+Three contracts: ``core/diffprov.py`` is the algorithm and imports none
+of the machinery that records or bounds a run; the one candidate sweep
+yields the same verdicts, replay count and journal savings whether a
+verdict came from the journal or from the probe — under every policy a
+consumer's loop body applies to it; and there is one way to evaluate a
+candidate — in this process — so nothing outside the service fleet
+forks, and nothing but the replay cache pickles.
 """
 
 import ast
-import pickle
 import threading
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,16 +17,17 @@ from types import SimpleNamespace
 import pytest
 
 import repro.core.diffprov
+from repro.api import Session
+from repro.cli import _tuning_parent
 from repro.core.diffprov import DiffProvOptions
 from repro.core.harness import RunContext
 from repro.errors import DeadlineExceeded
-from repro.observability import Telemetry
 from repro.resilience import Deadline, DiagnosisJournal
 
 
 def test_diffprov_imports_none_of_the_harness_machinery():
     banned = ("repro.resilience", "repro.observability",
-              "repro.replay.parallel", "repro.faults", "hashlib", "time")
+              "repro.faults", "hashlib", "time")
     tree = ast.parse(Path(repro.core.diffprov.__file__).read_text())
     imported = []
     for node in ast.walk(tree):
@@ -41,6 +43,57 @@ def test_diffprov_imports_none_of_the_harness_machinery():
         if any(name == b or name.startswith(b + ".") for b in banned)
     ]
     assert not offenders, offenders
+
+
+SRC = Path(repro.core.diffprov.__file__).parents[1]
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def test_only_the_service_fleet_spawns_processes():
+    offenders = []
+    for name, tree in _modules():
+        if name.startswith("service/"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module]
+            else:
+                continue
+            offenders += [
+                (name, module) for module in imported
+                if module.split(".")[0] in ("concurrent", "multiprocessing")
+            ]
+    assert not offenders, offenders
+
+
+def test_the_replay_cache_is_the_one_pickle_boundary():
+    sites = [
+        name
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dumps"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "pickle"
+    ]
+    assert sites == ["replay/cache.py"]
+
+
+@pytest.mark.parametrize("knob", ["workers", "resilience"])
+def test_the_candidate_pool_knobs_are_gone(knob):
+    with pytest.raises(TypeError, match=knob):
+        Session(scenario="SDN1", **{knob: 2})
+    with pytest.raises(TypeError, match=knob):
+        DiffProvOptions(**{knob: 2})
+    with pytest.raises(SystemExit):
+        _tuning_parent().parse_args([f"--{knob}", "2"])
 
 
 # -- the sweep on a toy probe -------------------------------------------------
@@ -81,11 +134,12 @@ def consume_all(sweep_from):
 POLICIES = [stop_at_first, restart_after_commit, consume_all]
 
 
-def _consume(policy, workers, picklable, journal):
-    run = RunContext(DiffProvOptions(workers=workers, journal=journal))
+def _consume(policy, picklable, journal):
+    run = RunContext(DiffProvOptions(journal=journal))
     counter = SimpleNamespace(replays=0)
     shared = {"verdicts": VERDICTS}
     if not picklable:
+        # The probe runs on the live objects: nothing has to pickle.
         shared["lock"] = threading.Lock()
 
     def sweep_from(start):
@@ -98,17 +152,15 @@ def _consume(policy, workers, picklable, journal):
         ):
             yield start + index, verdict
 
-    return list(policy(sweep_from)), counter.replays, run
+    return list(policy(sweep_from)), counter.replays
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.__name__)
 @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
 @pytest.mark.parametrize(
-    "workers,picklable",
-    [(1, True), (2, True), (2, False)],
-    ids=["inline", "pool", "unpicklable"],
+    "picklable", [True, False], ids=["inline", "unpicklable"]
 )
-def test_sweep_is_the_serial_loop(tmp_path, workers, picklable, resumed, policy):
+def test_sweep_is_the_serial_loop(tmp_path, picklable, resumed, policy):
     # The oracle: the same policy over a plain loop calling the probe.
     expected = list(policy(lambda start: (
         (index, VERDICTS[index]) for index in range(start, len(VERDICTS))
@@ -119,22 +171,20 @@ def test_sweep_is_the_serial_loop(tmp_path, workers, picklable, resumed, policy)
             for index in JOURNALED:
                 earlier.record("toy", f"candidate-{index}", VERDICTS[index])
     with DiagnosisJournal(path, resume=resumed) as journal:
-        consumed, replays, run = _consume(policy, workers, picklable, journal)
+        consumed, replays = _consume(policy, picklable, journal)
         assert consumed == expected
         assert replays == len(expected)
         # A journal hit is counted when — and only when — it is consumed.
         hits = [i for i, _ in expected if resumed and i in JOURNALED]
         assert journal.skipped == len(hits)
         # Every consumed verdict is durable afterwards; candidates the
-        # policy never reached (speculated or not) are not.
+        # policy never reached are not.
         for index in range(len(VERDICTS)):
             reached = index in dict(expected) or (
                 resumed and index in JOURNALED
             )
-            recorded = journal.peek("toy", f"candidate-{index}")
+            recorded = journal.lookup("toy", f"candidate-{index}")
             assert (recorded is not None) == reached
-    if workers == 1:
-        assert run._evaluator is None  # the serial path builds no pool
 
 
 class _Clock:
@@ -166,10 +216,9 @@ def test_deadline_expires_between_candidates():
     assert info.value.phase == "toy"
 
 
-@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pool"])
-def test_probe_error_surfaces_at_its_serial_position(workers):
+def test_probe_error_surfaces_at_its_serial_position():
     verdicts = [False, False, ValueError("candidate 2 blew up"), True]
-    run = RunContext(DiffProvOptions(workers=workers))
+    run = RunContext(DiffProvOptions())
     counter = SimpleNamespace(replays=0)
     seen = []
     with pytest.raises(ValueError, match="candidate 2 blew up"):
@@ -180,20 +229,3 @@ def test_probe_error_surfaces_at_its_serial_position(workers):
             seen.append(index)
     assert seen == [0, 1]
     assert counter.replays == 2
-
-
-def test_context_sheds_process_local_state_on_pickling(tmp_path):
-    with DiagnosisJournal(str(tmp_path / "j")) as journal:
-        options = DiffProvOptions(
-            telemetry=Telemetry(), journal=journal, deadline=30.0, workers=2,
-            minimize=True,
-        )
-        run = RunContext(options)
-        shipped = pickle.loads(pickle.dumps(run))
-    for name in ("telemetry", "journal", "deadline", "cache", "_evaluator"):
-        assert getattr(shipped, name) is None
-    assert (shipped.options.telemetry, shipped.options.journal,
-            shipped.options.deadline) == (None, None, None)
-    # What a worker needs travels; the parent's objects are untouched.
-    assert shipped.workers == 2 and shipped.options.minimize is True
-    assert options.journal is journal and run.deadline is not None

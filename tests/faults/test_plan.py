@@ -55,6 +55,7 @@ class TestValidation:
             "loss=-0.1",
             "seed=two",
             "bogus=1",             # unknown key
+            "worker-crash=0.5",    # a removed kind is an unknown key
             "unreachable=",        # no nodes
             "flap=s2:1:10",        # too few fields
             "flap=s2:x:10:40",     # bad port

@@ -59,12 +59,10 @@ def test_expiry_before_planning_degrades_to_diagnosis_only():
 
 def test_expiry_between_verifications_keeps_the_replay_count():
     # Three repair-phase checks pass: opening plan(), mid-prepare, and
-    # the one ahead of the first serial verification.  The cut lands
+    # the one ahead of the first verification.  The cut lands
     # before the second plan's replay.
     budget = _RepairBudget(allow=3)
-    with Session(
-        scenario="SDN1", repair=True, workers=1, deadline_s=budget
-    ) as session:
+    with Session(scenario="SDN1", repair=True, deadline_s=budget) as session:
         report = session.diagnose()
     assert report.success
     section = report.repair

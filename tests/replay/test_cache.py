@@ -1,9 +1,8 @@
-"""Tests for the prefix snapshot store and the parallel evaluator.
+"""Tests for the prefix snapshot store.
 
-The contract under test (docs/performance.md): the cache and the
-worker pool are pure speed-ups — a diagnosis is byte-identical whether
-the cache is cold, warm, or disabled, and whether candidates are
-evaluated serially or on a process pool.  The bare ``replay()`` only
+The contract under test (docs/performance.md): the cache is a pure
+speed-up — a diagnosis is byte-identical whether the cache is cold,
+warm, or disabled.  The bare ``replay()`` only
 ever touches *prefix* snapshots; result snapshots are looked up by
 ``Execution.replay`` on an attached cache, and candidates it does not
 hold fork off a live base (tests/replay/test_fork.py).
@@ -288,31 +287,20 @@ class TestBackendSnapshots:
 
 
 class TestDeterminism:
-    """Cache states and worker counts never change a diagnosis."""
+    """Cache states never change a diagnosis."""
 
-    @pytest.mark.parametrize("scenario", ["SDN1", "DNS"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_parallel_equals_serial(self, scenario, workers):
-        serial = ALL_SCENARIOS[scenario]().setup().diagnose(
+    # SDN4 exercises the minimality post-pass with several changes in
+    # flight, i.e. several forks off one base.
+    @pytest.mark.parametrize("scenario", ["SDN1", "DNS", "SDN4"])
+    def test_forked_equals_from_scratch(self, scenario):
+        scratch = ALL_SCENARIOS[scenario]().setup().diagnose(
             DiffProvOptions(minimize=True, replay_cache=False)
         )
-        parallel = ALL_SCENARIOS[scenario]().setup().diagnose(
-            DiffProvOptions(minimize=True, workers=workers)
+        forked = ALL_SCENARIOS[scenario]().setup().diagnose(
+            DiffProvOptions(minimize=True)
         )
-        assert parallel.canonical_json() == serial.canonical_json()
-        assert parallel.replays == serial.replays
-
-    def test_multi_change_scenario_parallel_equals_serial(self):
-        # SDN4 exercises the minimality post-pass with several changes
-        # in flight, i.e. actual multi-job waves.
-        serial = ALL_SCENARIOS["SDN4"]().setup().diagnose(
-            DiffProvOptions(minimize=True, replay_cache=False)
-        )
-        parallel = ALL_SCENARIOS["SDN4"]().setup().diagnose(
-            DiffProvOptions(minimize=True, workers=2)
-        )
-        assert parallel.canonical_json() == serial.canonical_json()
-        assert parallel.replays == serial.replays
+        assert forked.canonical_json() == scratch.canonical_json()
+        assert forked.replays == scratch.replays
 
 
 class TestCorruption:

