@@ -44,9 +44,6 @@ class IPv4Address:
     def last_octet(self) -> int:
         return self._value & 0xFF
 
-    def in_prefix(self, pfx: "Prefix") -> bool:
-        return pfx.contains(self)
-
     def __eq__(self, other):
         if isinstance(other, IPv4Address):
             return self._value == other._value

@@ -35,6 +35,7 @@ backend; both leave the report byte-identical (docs/performance.md).
 from __future__ import annotations
 
 import contextlib
+import os
 from typing import Dict, Optional
 
 from .core.autoref import AutoReferenceResult, auto_diagnose
@@ -46,7 +47,7 @@ from .faults import FaultPlan
 from .observability import Telemetry
 from .provenance.query import provenance_query
 from .provenance.tree import ProvenanceTree
-from .resilience import DiagnosisJournal
+from .resilience import Deadline, DiagnosisJournal
 
 __all__ = ["Session", "OPTION_CHECKS", "check_option"]
 
@@ -63,6 +64,30 @@ def _integer(minimum: int):
                 or value < minimum:
             raise ReproError(f"must be an integer >= {minimum}")
     return check
+
+
+# Checks for the knobs only an in-process caller can set.  They stay
+# out of OPTION_CHECKS below, which is also the service's wire
+# whitelist; None is each one's "not given".
+
+def _seconds(value) -> None:
+    # A Deadline that is already running (shared across calls) passes.
+    if value is None or isinstance(value, Deadline):
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ReproError("must be a number of seconds")
+
+
+def _path(value) -> None:
+    if value is not None and not isinstance(value, (str, os.PathLike)):
+        raise ReproError("must be a file path")
+
+
+def _telemetry_object(value) -> None:
+    # What repro.observability.active() recognises, plus the switch.
+    if value is not None and not isinstance(value, bool) \
+            and not hasattr(value, "enabled"):
+        raise ReproError("must be true, false or a Telemetry")
 
 
 def _fault_spec(value) -> None:
@@ -96,6 +121,13 @@ OPTION_CHECKS = {
 }
 
 
+def _checked(name: str, value, check) -> None:
+    try:
+        check(value)
+    except (ReproError, ValueError) as exc:
+        raise ReproError(f"option {name!r} {exc} (got {value!r})") from exc
+
+
 def check_option(name: str, value) -> None:
     """Raise :class:`ReproError` unless ``value`` suits knob ``name``."""
     check = OPTION_CHECKS.get(name)
@@ -104,10 +136,7 @@ def check_option(name: str, value) -> None:
             f"unsupported option {name!r} "
             f"(allowed: {', '.join(sorted(OPTION_CHECKS))})"
         )
-    try:
-        check(value)
-    except (ReproError, ValueError) as exc:
-        raise ReproError(f"option {name!r} {exc} (got {value!r})") from exc
+    _checked(name, value, check)
 
 
 class Session:
@@ -230,11 +259,21 @@ class Session:
                 )
         for name, value in (
             ("max_rounds", max_rounds), ("minimize", minimize),
-            ("taint", taint), ("repair", repair),
+            ("taint", taint), ("repair", repair), ("engine", engine),
         ):
             check_option(name, value)
+        for name, value, check in (
+            ("replay_cache", replay_cache, _flag),
+            ("resume", resume, _flag),
+            ("journal", journal, _path),
+            ("deadline_s", deadline_s, _seconds),
+            ("telemetry", telemetry, _telemetry_object),
+        ):
+            _checked(name, value, check)
         if isinstance(faults, str):
             faults = FaultPlan.parse(faults)
+        else:
+            check_option("faults", faults)
         if telemetry is True:
             telemetry = Telemetry()
         self.engine_config = (
@@ -259,7 +298,7 @@ class Session:
             repair=repair,
         )
         self.journal_path = journal
-        self._resume = bool(resume)
+        self._resume = resume
         # The most recently opened DiagnosisJournal (kept after close so
         # the CLI's Ctrl-C handler can print journal.progress()).
         self.journal = None
@@ -641,7 +680,9 @@ class Session:
             "options": {
                 "max_rounds": opts.max_rounds,
                 "enable_taint": opts.enable_taint,
-                "enable_repair": opts.enable_repair,
+                # A constant since the knob went: kept so that journals
+                # written before then still resume.
+                "enable_repair": True,
                 "enable_inversion": opts.enable_inversion,
                 "minimize": opts.minimize,
                 "repair": opts.repair,

@@ -26,6 +26,7 @@ Section 4.x to its function).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..datalog.engine import match_atom
@@ -55,6 +56,7 @@ from .taint import TaintAnnotation
 __all__ = ["DiffProvOptions", "DiffProv"]
 
 
+@dataclass(slots=True)
 class DiffProvOptions:
     """Tuning knobs; the defaults match the paper's prototype.
 
@@ -64,77 +66,40 @@ class DiffProvOptions:
     reachable through computations.
     """
 
-    __slots__ = (
-        "max_rounds",
-        "enable_taint",
-        "enable_repair",
-        "enable_inversion",
-        "verify",
-        "max_competitors",
-        "minimize",
-        "faults",
-        "telemetry",
-        "replay_cache",
-        "journal",
-        "deadline",
-        "repair",
-    )
-
-    def __init__(
-        self,
-        max_rounds: int = 10,
-        enable_taint: bool = True,
-        enable_repair: bool = True,
-        enable_inversion: bool = True,
-        verify: bool = True,
-        max_competitors: int = 3,
-        minimize: bool = False,
-        faults=None,
-        telemetry=None,
-        replay_cache: bool = True,
-        journal=None,
-        deadline=None,
-        repair: bool = False,
-    ):
-        self.max_rounds = max_rounds
-        self.enable_taint = enable_taint
-        self.enable_repair = enable_repair
-        self.enable_inversion = enable_inversion
-        self.verify = verify
-        self.max_competitors = max_competitors
-        # Section 4.9 ("Minimality"): Δ(B→G) is not necessarily minimal
-        # because DiffProv only follows the good tree's derivations.
-        # With minimize=True a greedy post-pass drops every change whose
-        # removal still leaves the trees aligned (one replay per
-        # candidate change).
-        self.minimize = minimize
-        # Optional FaultPlan: the initial provenance queries go through
-        # PartitionedProvenance with fallible fetches, and the differ
-        # degrades gracefully instead of crashing on missing provenance.
-        self.faults = faults
-        # Optional Telemetry: a span tree and metric counters covering
-        # every phase of the diagnosis (see repro.observability).  None
-        # (or a NullTelemetry) keeps every hot path uninstrumented.
-        self.telemetry = telemetry
-        # Candidate replays fork off one live base per execution, and
-        # an attached repro.replay.cache.ReplayCache seeds it; a pure
-        # speed-up.  replay_cache=False makes every replay re-derive.
-        self.replay_cache = replay_cache
-        # Optional DiagnosisJournal (repro.resilience): every phase
-        # boundary, explored change-set, and candidate verdict is
-        # appended and fsync'd, so a killed diagnosis resumes instead
-        # of restarting (docs/resilience.md).
-        self.journal = journal
-        # Optional end-to-end budget: None, seconds, or a Deadline.
-        # Expiry degrades the run to a partial report with the
-        # best-so-far candidates.
-        self.deadline = deadline
-        # Rollback planning (repro.repair, docs/repair.md): after a
-        # successful diagnosis, enumerate and replay-verify ranked fix
-        # plans and attach them as report.repair.  Distinct from
-        # enable_repair, which gates the condition-repair value
-        # synthesis inside the loop itself.
-        self.repair = repair
+    max_rounds: int = 10
+    enable_taint: bool = True
+    enable_inversion: bool = True
+    max_competitors: int = 3
+    # Section 4.9 ("Minimality"): Δ(B→G) is not necessarily minimal
+    # because DiffProv only follows the good tree's derivations.  With
+    # minimize=True a greedy post-pass drops every change whose removal
+    # still leaves the trees aligned (one replay per candidate change).
+    minimize: bool = False
+    # Optional FaultPlan: the initial provenance queries go through
+    # PartitionedProvenance with fallible fetches, and the differ
+    # degrades gracefully instead of crashing on missing provenance.
+    faults: object = None
+    # Optional Telemetry: a span tree and metric counters covering
+    # every phase of the diagnosis (see repro.observability).  None
+    # (or a NullTelemetry) keeps every hot path uninstrumented.
+    telemetry: object = None
+    # Candidate replays fork off one live base per execution, and an
+    # attached repro.replay.cache.ReplayCache seeds it; a pure
+    # speed-up.  replay_cache=False makes every replay re-derive.
+    replay_cache: bool = True
+    # Optional DiagnosisJournal (repro.resilience): every phase
+    # boundary, explored change-set, and candidate verdict is appended
+    # and fsync'd, so a killed diagnosis resumes instead of restarting
+    # (docs/resilience.md).
+    journal: object = None
+    # Optional end-to-end budget: None, seconds, or a Deadline.  Expiry
+    # degrades the run to a partial report with the best-so-far
+    # candidates.
+    deadline: object = None
+    # Rollback planning (repro.repair, docs/repair.md): after a
+    # successful diagnosis, enumerate and replay-verify ranked fix
+    # plans and attach them as report.repair.
+    repair: bool = False
 
 
 class DiffProv:
@@ -612,8 +577,7 @@ class _DiagnosisState:
         env = None
         if rule is not None and not rule.is_aggregate:
             env = self._bad_side_env(rule, node)
-            if self.options.enable_repair:
-                self._repair_conditions(rule, node, env)
+            self._repair_conditions(rule, node, env)
             # Section 4.5: propagate the parent's taints down to the
             # other children.  A sibling base tuple can share a tainted
             # variable with the head (e.g. the replica name joining a
@@ -1072,9 +1036,9 @@ class _DiagnosisState:
         # Success is only declared after _find_divergence found the full
         # trees equivalent on a replay that already incorporated every
         # accumulated change — i.e. the diagnosis is verified by
-        # construction whenever the verify option is on.  Under
-        # degradation the verification is only partial: the stimulus
-        # branch was walked, but UNKNOWN subtrees were taken on trust.
+        # construction.  Under degradation the verification is only
+        # partial: the stimulus branch was walked, but UNKNOWN subtrees
+        # were taken on trust.
         return DiagnosisReport(
             success=success,
             changes=self.changes,
@@ -1086,9 +1050,7 @@ class _DiagnosisState:
             good_seed=self.good_seed.tuple if self.good_seed else None,
             bad_seed=self.bad_seed.tuple if self.bad_seed else None,
             replays=self.replays,
-            verified=(
-                success and self.options.verify and not self.partial_verify
-            ),
+            verified=success and not self.partial_verify,
             degraded=self._degraded(),
             confidences=self._confidences(success),
             unknown_subtrees=self.unknowns,

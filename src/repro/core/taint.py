@@ -72,9 +72,6 @@ class TaintAnnotation:
     def var_formulas_for(self, node: TupleNode) -> Dict[str, Expr]:
         return self._var_formulas.get(id(node), {})
 
-    def is_tainted(self, node: TupleNode) -> bool:
-        return any(f is not None for f in self.formulas_for(node))
-
     # -- construction ----------------------------------------------------------
 
     def _annotate(self, node: TupleNode) -> List[Optional[Expr]]:

@@ -5,9 +5,9 @@
 - ``"compiled"`` (the default) — per-rule compiled join closures
   (:mod:`repro.datalog.compiled`) over the indexed
   :class:`repro.datalog.columnar.ColumnarStore`, with the ``annotated``
-  provenance recorder (lazy arena recording plus per-tuple proof-height
-  annotations) and copy-on-write ``fork()`` on the SDN emulator.  This
-  is the path every workload runs.
+  provenance recorder (arena events plus per-tuple liveness intervals,
+  the graph built on demand) and copy-on-write ``fork()`` on the SDN
+  emulator.  This is the path every workload runs.
 - ``"reference"`` — the interpreted linear-scan join over the plain
   :class:`repro.datalog.state.Store`, with the ``eager`` seven-vertex
   recorder and ``clone()`` + linear-scan lookups on the emulator.  It

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..errors import EvaluationError, SchemaError
 from .expr import Const, Expr, Var
-from .tuples import TableKind, TableSchema
+from .tuples import TableSchema
 
 __all__ = [
     "Atom",
@@ -273,9 +273,6 @@ class Rule:
     def is_aggregate(self) -> bool:
         return self.head.has_aggregates()
 
-    def body_tables(self) -> frozenset:
-        return frozenset(atom.table for atom in self.body)
-
     def _check_safety(self):
         """Every head/condition variable must be bound by the body."""
         bound = set()
@@ -381,10 +378,6 @@ class Program:
                 return rule
         raise SchemaError(f"no rule named {name!r}")
 
-    def add_schema(self, schema: TableSchema) -> "Program":
-        self.schemas[schema.name] = schema
-        return self
-
     def add_rule(self, rule: Rule) -> "Program":
         self.rules.append(rule)
         self._trigger_cache = None
@@ -410,24 +403,8 @@ class Program:
             self._trigger_cache = cache
         return cache.get(table, ())
 
-    def rules_triggered_by(self, table: str) -> List[Rule]:
-        """Non-aggregate rules with a body atom over ``table``."""
-        seen = set()
-        result = []
-        for rule, _ in self.triggers(table):
-            if id(rule) not in seen:
-                seen.add(id(rule))
-                result.append(rule)
-        return result
-
     def aggregate_rules(self) -> List[Rule]:
         return [rule for rule in self.rules if rule.is_aggregate]
-
-    def event_tables(self) -> frozenset:
-        return frozenset(
-            name for name, schema in self.schemas.items()
-            if schema.kind == TableKind.EVENT
-        )
 
     def __repr__(self):
         return f"Program({len(self.schemas)} tables, {len(self.rules)} rules)"

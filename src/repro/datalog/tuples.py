@@ -123,9 +123,6 @@ class Tuple:
     def with_args(self, args: Iterable[object]) -> "Tuple":
         return Tuple(self.table, args)
 
-    def matches_schema(self, schema: TableSchema) -> bool:
-        return self.table == schema.name and self.arity == schema.arity
-
     def __eq__(self, other):
         if self is other:
             # Interned tuples (see TupleStore) make this the common case.

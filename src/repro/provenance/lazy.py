@@ -1,4 +1,4 @@
-"""Lazy provenance: record compact annotations, build the graph on demand.
+"""Lazy provenance: record compact events, build the graph on demand.
 
 Eagerly mirroring every engine event into a :class:`ProvenanceGraph`
 pays the full seven-vertex construction cost on every replay — even
@@ -25,52 +25,20 @@ too.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..datalog.tuples import Tuple
 from ..errors import ReproError
 from .graph import DerivationInfo, ProvenanceGraph
 from .vertices import VertexKind
 
-__all__ = ["LazyProvenanceGraph", "ProofNode", "apply_event"]
+__all__ = ["LazyProvenanceGraph", "apply_event"]
 
-
-class ProofNode:
-    """One node of a reconstructed minimal proof tree.
-
-    A leaf (``rule is None``) is a base insertion; an inner node is the
-    minimal-height derivation of its tuple, with one child per body
-    member in body order.
-    """
-
-    __slots__ = ("tuple", "rule", "children", "height")
-
-    def __init__(self, tup, rule, children, height):
-        self.tuple = tup
-        self.rule = rule
-        self.children = tuple(children)
-        self.height = height
-
-    def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
-
-    def render(self, indent: int = 0) -> str:
-        label = (
-            str(self.tuple)
-            if self.rule is None
-            else f"{self.tuple} <= {self.rule}"
-        )
-        lines = ["  " * indent + label]
-        lines.extend(
-            child.render(indent + 1) for child in self.children
-        )
-        return "\n".join(lines)
-
-    def __repr__(self):
-        return (
-            f"ProofNode({self.tuple}, rule={self.rule!r}, "
-            f"height={self.height}, size={self.size()})"
-        )
+# Arena event kind -> the suffix of its ``recorder.vertices.*`` counter.
+_VERTEX_NAMES = {
+    "ins": "insert", "del": "delete", "app": "appear",
+    "dis": "disappear", "der": "derive", "und": "underive",
+}
 
 
 def apply_event(graph: ProvenanceGraph, event: tuple) -> None:
@@ -174,16 +142,8 @@ class LazyProvenanceGraph:
         self._exists: Dict[Tuple, List[list]] = {}  # tup -> [[start, end|None]]
         self._appears: Dict[Tuple, List[int]] = {}  # tup -> appear times
         self._insert_counts: Dict[Tuple, int] = {}
-        self._derive_ids: Set[int] = set()
         self._derivations: Dict[int, DerivationInfo] = {}
         self._vertex_count = 0
-        # Subsumption-based proof annotations (after Souffle's height
-        # annotations): per-tuple live base support count and, per head
-        # tuple, the heights of its live derivations recorded at derive
-        # time.  From these, minimal_proof() reconstructs an exact
-        # minimal proof tree without materializing the graph.
-        self._base_live: Dict[Tuple, int] = {}
-        self._live_ders: Dict[Tuple, Dict[int, int]] = {}
         # The engine's undo trail while it has an open checkpoint.
         self._trail = None
 
@@ -225,14 +185,10 @@ class LazyProvenanceGraph:
     def record(self, event: tuple) -> None:
         """Ingest one kept event: cheap state, metrics, arena/graph.
 
-        Vertex and edge metrics are computed here, at record time, from
-        the incremental state — the counts are provably equal to what
-        eager construction would report, because every child lookup in
-        :func:`apply_event` reduces to an existence test this state
-        answers exactly (has the tuple any EXIST interval / any INSERT
-        / is the derivation id known).
+        The state is maintained whether or not a telemetry is attached:
+        a run attaches its telemetry at fork time to a base that was
+        built without one, and later counts depend on it.
         """
-        telemetry = self._recorder.telemetry if self._recorder is not None else None
         trail = self._trail
         kind = event[0]
         if kind == "ins":
@@ -240,16 +196,8 @@ class LazyProvenanceGraph:
             if trail is not None:
                 trail.item(self._insert_counts, tup)
             self._insert_counts[tup] = self._insert_counts.get(tup, 0) + 1
-            self._note_vertex(telemetry, "insert")
-        elif kind == "del":
-            self._note_vertex(telemetry, "delete")
         elif kind == "app":
-            _, _, tup, time, cause_kind, derivation_id = event
-            if cause_kind == "insert":
-                parent_edges = 1 if self._insert_counts.get(tup) else 0
-            else:
-                parent_edges = 1 if derivation_id in self._derive_ids else 0
-            self._note_vertex(telemetry, "appear", parent_edges)
+            tup, time = event[2], event[3]
             if trail is None:
                 self._appears.setdefault(tup, []).append(time)
                 self._exists.setdefault(tup, []).append([time, None])
@@ -259,38 +207,24 @@ class LazyProvenanceGraph:
                     entries = self._entry(index, tup, list)
                     trail.length(entries)
                     entries.append(value)
-            self._note_vertex(telemetry, "exist", 1)
+            self._vertex_count += 1  # the EXIST beside the APPEAR
         elif kind == "dis":
-            _, _, tup, time, cause_kind, derivation_id = event
-            edges = (
-                1
-                if cause_kind == "underive"
-                and derivation_id is not None
-                and derivation_id in self._derive_ids
-                else 0
-            )
-            self._close(tup, time)
-            self._note_vertex(telemetry, "disappear", edges)
+            self._close(event[2], event[3])
         elif kind == "der":
             info = event[2]
             if info.id in self._derivations:
                 # Same failure the eager graph's add_derivation raises,
                 # surfaced at record time rather than reconstruction.
                 raise ReproError(f"duplicate derivation id {info.id}")
-            edges = sum(1 for member in info.body if self._exists.get(member))
             if trail is not None:
                 trail.item(self._derivations, info.id)
-                trail.call(self._derive_ids.discard, info.id)
             self._derivations[info.id] = info
-            self._derive_ids.add(info.id)
-            self._note_vertex(telemetry, "derive", edges)
-        elif kind == "und":
-            derivation_id = event[5]
-            edges = 1 if derivation_id in self._derive_ids else 0
-            self._note_vertex(telemetry, "underive", edges)
-        else:  # pragma: no cover - defensive
+        elif kind not in ("del", "und"):  # pragma: no cover - defensive
             raise ValueError(f"unknown arena event {kind!r}")
-        self._annotate(event)
+        self._vertex_count += 1
+        telemetry = self._recorder.telemetry if self._recorder is not None else None
+        if telemetry is not None:
+            self._meter(telemetry, event)
         if self._graph is not None:
             # Already materialized (e.g. a tree was projected mid-run):
             # keep the eager graph current instead of re-growing the arena.
@@ -298,66 +232,36 @@ class LazyProvenanceGraph:
         else:
             self._arena.append(event)
 
-    def _note_vertex(self, telemetry, kind_name: str, edges: int = 0) -> None:
-        self._vertex_count += 1
-        if telemetry is not None:
-            telemetry.inc("recorder.vertices." + kind_name)
-            if edges:
-                telemetry.inc("recorder.edges", edges)
+    def _meter(self, telemetry, event: tuple) -> None:
+        """Count the vertexes and edges eager construction would add.
 
-    def _annotate(self, event: tuple) -> None:
-        """Maintain min-height/first-derivation annotations for one event.
-
-        Heights follow the Souffle subsumption scheme: a base-supported
-        tuple has height 0; a derivation's height is one more than the
-        tallest of its body members' minimal heights *at derive time*.
-        Keeping every live derivation's height (rather than one global
-        minimum) makes underivation exact: the minimum over the
-        survivors is the tuple's new minimal height.
+        The counts are provably equal to the eager recorder's, because
+        every child lookup in :func:`apply_event` reduces to an
+        existence test the cheap state answers exactly (has the tuple
+        any EXIST interval / any INSERT / is the derivation id known),
+        and no event's own state update changes the answer to its own
+        lookups.
         """
-        trail = self._trail
         kind = event[0]
-        if kind == "ins":
-            tup = event[2]
-            if trail is not None:
-                trail.item(self._base_live, tup)
-            self._base_live[tup] = self._base_live.get(tup, 0) + 1
-        elif kind == "del":
-            tup = event[2]
-            count = self._base_live.get(tup, 0)
-            if count:
-                if trail is not None:
-                    trail.item(self._base_live, tup)
-                self._base_live[tup] = count - 1
-        elif kind == "der":
-            info = event[2]
-            height = 1 + max(
-                (self._height_of(member) for member in info.body),
-                default=0,
-            )
-            if trail is None:
-                self._live_ders.setdefault(info.head, {})[info.id] = height
+        edges = 0
+        if kind == "app":
+            if event[4] == "insert":
+                parent = self._insert_counts.get(event[2])
             else:
-                ders = self._entry(self._live_ders, info.head, dict)
-                trail.item(ders, info.id)
-                ders[info.id] = height
+                parent = event[5] in self._derivations
+            edges = 2 if parent else 1  # parent -> APPEAR -> EXIST
+            telemetry.inc("recorder.vertices.exist")
+        elif kind == "dis":
+            if event[4] == "underive" and event[5] in self._derivations:
+                edges = 1
+        elif kind == "der":
+            edges = sum(1 for member in event[2].body if self._exists.get(member))
         elif kind == "und":
-            derivation_id = event[5]
-            ders = self._live_ders.get(event[2])
-            if ders is not None:
-                if trail is not None and derivation_id in ders:
-                    trail.item(ders, derivation_id)
-                ders.pop(derivation_id, None)
-
-    def _height_of(self, tup: Tuple) -> int:
-        if self._base_live.get(tup):
-            return 0
-        ders = self._live_ders.get(tup)
-        if ders:
-            return min(ders.values())
-        # Unknown member (e.g. its report was lost under lossy
-        # logging): treat as a leaf so proofs stay constructible.
-        return 0
+            if event[5] in self._derivations:
+                edges = 1
+        telemetry.inc("recorder.vertices." + _VERTEX_NAMES[kind])
+        if edges:
+            telemetry.inc("recorder.edges", edges)
 
     def _close(self, tup: Tuple, time: int) -> None:
         # Mirror ProvenanceGraph.close_exist: end the latest open interval.
@@ -419,53 +323,6 @@ class LazyProvenanceGraph:
         if self._graph is not None:
             return len(self._graph)
         return self._vertex_count
-
-    # -- annotation-based proof reconstruction -------------------------------
-
-    def height_of(self, tup: Tuple) -> int:
-        """The tuple's current minimal proof height."""
-        return self._height_of(tup)
-
-    def minimal_proof(self, tup: Tuple) -> ProofNode:
-        """Reconstruct an exact minimal proof tree for ``tup`` on demand.
-
-        Works entirely from the recorded annotations — no graph
-        materialization (metered as ``provenance.annotated.proofs``).
-        At every tuple the live derivation with the smallest
-        (height, derivation id) wins, so the result is deterministic
-        and minimal under the recorded heights; ties and recursion are
-        broken by derivation id (record order) and a path guard.
-        """
-        telemetry = (
-            self._recorder.telemetry if self._recorder is not None else None
-        )
-        if telemetry is not None:
-            telemetry.inc("provenance.annotated.proofs")
-        return self._prove(tup, frozenset())
-
-    def _prove(self, tup: Tuple, path: frozenset) -> ProofNode:
-        if self._base_live.get(tup):
-            return ProofNode(tup, None, (), 0)
-        ders = self._live_ders.get(tup)
-        if ders:
-            on_path = path | {tup}
-            for derivation_id, _height in sorted(
-                ders.items(), key=lambda item: (item[1], item[0])
-            ):
-                info = self._derivations.get(derivation_id)
-                if info is None or any(m in on_path for m in info.body):
-                    continue
-                children = [self._prove(m, on_path) for m in info.body]
-                height = 1 + max(
-                    (child.height for child in children), default=0
-                )
-                return ProofNode(tup, info.rule_name, children, height)
-        if self._insert_counts.get(tup):
-            # Base support that was later deleted: the tuple's original
-            # insertion still proves the (historic) body of a
-            # non-revocable derivation above it.
-            return ProofNode(tup, None, (), 0)
-        raise ReproError(f"no proof recorded for {tup}")
 
     # -- materialization ------------------------------------------------------
 

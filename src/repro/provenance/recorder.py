@@ -37,12 +37,11 @@ class ProvenanceRecorder:
     ``provenance`` selects the construction mode (see
     :mod:`repro.datalog.config`):
 
-    - ``"annotated"`` (default) — lazy arena recording plus per-tuple
-      min-height/first-derivation annotations (see
-      :mod:`repro.provenance.lazy`); minimal proof trees are
-      reconstructed on demand via ``graph.minimal_proof()`` without
-      materializing a single vertex, and the seven-vertex graph only
-      when something projects a tree or serializes;
+    - ``"annotated"`` (default) — one compact arena event per kept
+      observation plus per-tuple liveness intervals that answer
+      FIRSTDIV's queries directly (see :mod:`repro.provenance.lazy`);
+      the seven-vertex graph is built only when something projects a
+      tree or serializes;
     - ``"eager"`` — classic eager construction, the reference mode the
       equivalence tests compare against.  Passing an explicit ``graph``
       also forces eager mode.

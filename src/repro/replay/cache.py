@@ -108,7 +108,7 @@ class ReplayCache:
         :class:`repro.datalog.config.EngineConfig`) keys snapshots by
         backend/provenance mode: results are byte-identical across
         modes, but the pickled *state* is not (different store classes,
-        annotation payloads), so snapshots never cross modes.
+        arena vs built graph), so snapshots never cross modes.
         """
         faults_fp = "" if faults is None else faults.describe()
         return (

@@ -132,14 +132,6 @@ class EventLog:
             self._first_occurrence = table
         return self._first_occurrence.get(tup)
 
-    def inserts_of_table(self, table: str) -> List[int]:
-        return [
-            i
-            for i, entry in enumerate(self.entries)
-            if entry.op == "insert" and entry.tuple is not None
-            and entry.tuple.table == table
-        ]
-
     # -- persistence --------------------------------------------------------
 
     def dump(self, path: str) -> None:

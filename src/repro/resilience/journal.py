@@ -228,11 +228,6 @@ class DiagnosisJournal:
             self.skipped += 1
         return value
 
-    @property
-    def has_verdicts(self) -> bool:
-        """Whether any verdicts were recovered or recorded."""
-        return bool(self._verdicts)
-
     def result(self, success: bool, sha: str, **payload) -> None:
         """Record a finished diagnosis (the journal's commit marker)."""
         self._append("result", success=success, sha=sha, **payload)

@@ -191,11 +191,6 @@ class AdmissionController:
                 return None
             await self._available.wait()
 
-    def requeue(self, ticket: Ticket) -> None:
-        """Put a dispatched ticket back (shard handoff after a crash)."""
-        heapq.heappush(self._heap, (ticket.order_key(), ticket))
-        self._available.set()
-
     def mark_done(self, ticket: Ticket) -> None:
         """Release quota + record the observed service time."""
         self.in_flight -= 1

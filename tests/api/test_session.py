@@ -39,6 +39,13 @@ class TestConstruction:
         ({"max_rounds": 0}, "'max_rounds' must be an integer >= 1"),
         ({"minimize": "false"}, "'minimize' must be true or false"),
         ({"repair": 1}, "'repair' must be true or false"),
+        ({"telemetry": "manual"}, "'telemetry' must be true, false or a"),
+        ({"replay_cache": "no"}, "'replay_cache' must be true or false"),
+        ({"resume": "yes"}, "'resume' must be true or false"),
+        ({"deadline_s": "soon"}, "'deadline_s' must be a number"),
+        ({"engine": "fast"}, "'engine' unknown engine backend 'fast'"),
+        ({"journal": 7}, "'journal' must be a file path"),
+        ({"faults": 0.1}, "'faults' must be a fault-plan spec"),
     ])
     def test_mistyped_knobs_rejected_eagerly(self, knobs, fragment):
         # The same table the service protocol admits options through

@@ -81,14 +81,14 @@ class TestOptions:
         bad.insert(parse_tuple("stim(2, 7)"))
         return program, good, bad
 
-    def test_verify_false_still_succeeds(self):
-        program, good, bad = self.build_faulty()
-        options = DiffProvOptions(verify=False)
-        report = DiffProv(program, options).diagnose(
-            good, bad, parse_tuple("out(1, 5)"), parse_tuple("fallback(2)")
-        )
-        assert report.success
-        assert not report.verified
+    @pytest.mark.parametrize("knob", ["verify", "enable_repair"])
+    def test_one_valued_knobs_are_gone(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            DiffProvOptions(**{knob: True})
+
+    def test_a_misspelt_knob_is_an_error_not_a_new_attribute(self):
+        with pytest.raises(AttributeError):
+            DiffProvOptions().minimise = True
 
     def test_max_competitors_zero_gives_insert_only(self):
         program, good, bad = self.build_faulty()

@@ -86,6 +86,20 @@ def test_the_replay_cache_is_the_one_pickle_boundary():
     assert sites == ["replay/cache.py"]
 
 
+def test_the_proof_annotation_index_is_gone():
+    # Nothing ever queried it; the recorder keeps only what is read
+    # (docs/performance.md, "What the recorder keeps, and why").
+    gone = {"minimal_proof", "height_of", "ProofNode"}
+    defined = [
+        (name, node.name)
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in gone
+    ]
+    assert not defined, defined
+
+
 @pytest.mark.parametrize("knob", ["workers", "resilience"])
 def test_the_candidate_pool_knobs_are_gone(knob):
     with pytest.raises(TypeError, match=knob):

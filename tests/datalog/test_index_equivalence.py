@@ -12,10 +12,11 @@ no rule firing of a bundled scenario falls back to the interpreter.
 
 import pytest
 
-from repro.datalog import BACKENDS, EngineConfig
+from repro.datalog import BACKENDS, EngineConfig, parse_tuple
 from repro.observability import Telemetry
 from repro.provenance.query import provenance_query
-from repro.replay.replayer import replay
+from repro.replay import Change
+from repro.replay.replayer import drive, pristine, replay
 from repro.scenarios import ALL_SCENARIOS
 
 # The satellite coverage set: every SDN scenario, DNS, the declarative
@@ -32,6 +33,14 @@ FAST = [backend for backend in MATRIX if backend != "reference"]
 
 def _scenario(name, **params):
     return ALL_SCENARIOS[name](**params).setup()
+
+
+def _recorder_counts(telemetry):
+    return {
+        name: value
+        for name, value in telemetry.snapshot()["counters"].items()
+        if name.startswith("recorder.vertices.") or name == "recorder.edges"
+    }
 
 
 def _replay_matrix(scenario, execution):
@@ -110,40 +119,6 @@ class TestGraphEquivalence:
             assert results[backend].graph.pending
 
 
-class TestMinimalProofEquivalence:
-    @pytest.mark.parametrize("name", ["SDN1", "SDN3", "DNS"])
-    def test_annotated_minimal_proof_matches_tree_facts(self, name):
-        scenario = _scenario(name)
-        result = replay(
-            scenario.program, scenario.bad_execution.log, engine="compiled"
-        )
-        proof = result.graph.minimal_proof(scenario.bad_event)
-        assert proof.tuple == scenario.bad_event
-        assert proof.height == result.graph.height_of(scenario.bad_event)
-        # Every leaf of the minimal proof is a base fact the reference
-        # evaluator also saw inserted.
-        reference = replay(
-            scenario.program, scenario.bad_execution.log, engine="reference"
-        )
-        stack = [proof]
-        while stack:
-            node = stack.pop()
-            if not node.children:
-                assert node.rule is None
-                assert reference.graph.inserts_of(node.tuple)
-            stack.extend(node.children)
-
-    def test_minimal_proof_is_deterministic(self):
-        scenario = _scenario("SDN1")
-        renders = []
-        for _ in range(2):
-            result = replay(
-                scenario.program, scenario.bad_execution.log, engine="compiled"
-            )
-            renders.append(result.graph.minimal_proof(scenario.bad_event).render())
-        assert renders[0] == renders[1]
-
-
 class TestDiagnosisEquivalence:
     @pytest.mark.parametrize("name", ["SDN1", "SDN3", "DNS", "FLAP"])
     def test_reports_byte_identical_across_backends(self, name):
@@ -176,6 +151,44 @@ class TestRecorderMetricsEquivalence:
         for backend in FAST:
             assert snapshots[backend] == snapshots["reference"], backend
         assert snapshots["reference"].get("recorder.edges", 0) > 0
+
+    def test_telemetry_attached_at_fork_time_counts_like_eager_throughout(self):
+        # A replay base is built with no telemetry, so record() skipped
+        # every count on the prefix; the state the counts are read from
+        # (insert counts, derivation ids, EXIST intervals) must still be
+        # there when a run attaches its telemetry to fork a candidate.
+        # FLAP's suffix deletes and re-inserts a prefix tuple and fires
+        # rules over prefix facts, so every kind of lookup reaches back.
+        scenario = _scenario("FLAP")
+        bad = scenario.bad_execution
+        log = bad.log
+        change = Change(
+            insert=parse_tuple("flowEntry('core', 5, 0.0.0.0/0, 9.9.9.0/24, 3)")
+        )
+        fork = 13
+        bad.fork_replays = True
+        bad.replay([change], fork)
+        assert bad._base_at == fork and bad.telemetry is None
+        bad.telemetry = Telemetry()
+        assert bad.replay([change], fork)._owner is bad
+        forked = _recorder_counts(bad.telemetry)
+
+        eager = Telemetry()
+        engine, _, _ = pristine(
+            scenario.program, log, fork, config=EngineConfig("reference"),
+            lossless=True, telemetry=eager,
+        )
+        prefix = _recorder_counts(eager)
+        drive(engine, log.entries, fork, len(log.entries),
+              inserted=[change.insert], anchor=fork)
+        suffix = {
+            name: count - prefix.get(name, 0)
+            for name, count in _recorder_counts(eager).items()
+        }
+        assert forked == {k: v for k, v in suffix.items() if v}
+        assert {"recorder.edges", "recorder.vertices.delete",
+                "recorder.vertices.disappear", "recorder.vertices.derive",
+                "recorder.vertices.insert"} <= set(forked)
 
     def test_index_hits_and_reconstructions_are_metered(self):
         scenario = _scenario("SDN1")

@@ -5,10 +5,9 @@ a candidate forked off a live base must equal the same candidate
 replayed from scratch, and a rolled-back base must equal a twin that
 never forked.  Dict *insertion order* is part of the comparison (lists
 of items, not dicts) wherever the engine's behaviour can depend on it;
-sets, and the per-head live-derivation maps (only ever read through
-``min``/``sorted``), are compared sorted.  Pure caches — interning
-pool, compiled plans, sorted views, index buckets — are left out and
-checked through the queries they serve (:func:`query_views`).
+sets are compared sorted.  Pure caches — interning pool, compiled
+plans, sorted views, index buckets — are left out and checked through
+the queries they serve (:func:`query_views`).
 """
 
 import json
@@ -67,11 +66,8 @@ def engine_state(engine, recorder):
             "exists": [(t, [list(i) for i in v]) for t, v in lazy._exists.items()],
             "appears": [(t, list(v)) for t, v in lazy._appears.items()],
             "inserts": list(lazy._insert_counts.items()),
-            "derive_ids": sorted(lazy._derive_ids),
             "derivations": [_derivation(d) for d in lazy._derivations.values()],
             "vertices": lazy._vertex_count,
-            "base_live": list(lazy._base_live.items()),
-            "live_ders": [(t, sorted(v.items())) for t, v in lazy._live_ders.items()],
         }
     return state
 
