@@ -29,9 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
+from ..addresses import IPv4Address
 from ..datalog.engine import match_atom
-from ..datalog.expr import Const, Var
+from ..datalog.expr import Call, Const, Var
 from ..datalog.rules import Program, Rule
+from ..datalog.state import sort_key
 from ..datalog.tuples import TableKind, Tuple
 from ..errors import (
     DeadlineExceeded,
@@ -961,7 +963,9 @@ class _DiagnosisState:
         excluded: Set[Tuple],
     ) -> Optional[Tuple]:
         candidates = list(
-            _candidate_tuples(replayed.engine.store, atom, env_anchor)
+            _candidate_tuples(
+                replayed.engine.store, atom, env_anchor, rule.conditions
+            )
         )
         if expected_child not in candidates:
             candidates.append(expected_child)
@@ -979,7 +983,7 @@ class _DiagnosisState:
                 key = tuple(k.evaluate(env) for k in atom.selector.keys)
             except EvaluationError:
                 continue
-            ranked = (key, _stable_key(candidate))
+            ranked = (key, sort_key(candidate))
             if best_key is None or ranked > best_key:
                 best_key = ranked
                 best = candidate
@@ -1059,7 +1063,7 @@ class _DiagnosisState:
         )
 
 
-def _candidate_tuples(store, atom, env: Dict[str, object]):
+def _candidate_tuples(store, atom, env: Dict[str, object], conditions=()):
     """Live candidates for ``atom``, narrowed by one pinned position.
 
     A position whose value is statically known — a ``Const`` argument,
@@ -1071,7 +1075,19 @@ def _candidate_tuples(store, atom, env: Dict[str, object]):
     pinned value at that position, and both the projection bucket and
     the full scan iterate in ``sort_key`` order, so callers see exactly
     the sequence the scan would have produced after filtering.
+
+    ``conditions`` (the selector search's) narrow further where the
+    store offers ``tuples_covering``: the same order, minus only the
+    candidates an ``ip_in_prefix(A, P) == true`` condition rejects.
     """
+    covering = getattr(store, "tuples_covering", None)
+    if covering is not None and atom.location in env:
+        for condition in conditions:
+            slot = _prefix_slot(condition, atom, env)
+            if slot is not None:
+                found = covering(atom.table, env[atom.location], *slot)
+                if found is not None:
+                    return found
     for position, arg in enumerate(atom.args):
         if isinstance(arg, Const):
             return store.tuples_matching(atom.table, position, arg.value)
@@ -1080,6 +1096,18 @@ def _candidate_tuples(store, atom, env: Dict[str, object]):
     return store.tuples(atom.table)
 
 
-def _stable_key(tup: Tuple):
-    return tuple((type(a).__name__, str(a)) for a in tup.args)
+def _prefix_slot(condition, atom, env: Dict[str, object]):
+    """``(q, address)`` for ``ip_in_prefix(A, P) == true`` with ``A``
+    bound to an address and ``P`` the atom's variable at slot ``q``."""
+    call = condition.left
+    if not (isinstance(call, Call) and call.name == "ip_in_prefix"
+            and len(call.args) == 2 and condition.op == "=="
+            and condition.right == Const(True)):
+        return None
+    address, prefix = call.args
+    if (isinstance(address, Var) and isinstance(prefix, Var)
+            and prefix in atom.args
+            and isinstance(env.get(address.name), IPv4Address)):
+        return atom.args.index(prefix), env[address.name]
+    return None
 

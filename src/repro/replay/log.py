@@ -70,6 +70,8 @@ class EventLog:
         self.total_bytes = 0
         self._fingerprint: Optional[str] = None
         self._first_occurrence: Optional[Dict[Tuple, int]] = None
+        # index_of_insert's answers, None included; append() clears it.
+        self._insert_index: Dict[Tuple, Optional[int]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -92,14 +94,22 @@ class EventLog:
         self.total_bytes += entry.size
         self._fingerprint = None
         self._first_occurrence = None
+        self._insert_index.clear()
         return entry
 
     def index_of_insert(self, tup: Tuple) -> Optional[int]:
-        """Index of the first insertion of ``tup`` (None if absent)."""
-        for index, entry in enumerate(self.entries):
-            if entry.op == "insert" and entry.tuple == tup:
-                return index
-        return None
+        """Index of the first insertion of ``tup`` (None if absent).
+
+        Remembered until the next append: a Session asks for the same
+        seeds on every diagnosis, and they can sit ~450k entries deep.
+        """
+        if tup not in self._insert_index:
+            self._insert_index[tup] = next(
+                (index for index, entry in enumerate(self.entries)
+                 if entry.op == "insert" and entry.tuple == tup),
+                None,
+            )
+        return self._insert_index[tup]
 
     def fingerprint(self) -> str:
         """Content hash of the log (entry ops, tuples, mutability flags).

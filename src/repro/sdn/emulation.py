@@ -538,6 +538,21 @@ class _ConfigStoreView:
             self._projections[(table, position)] = projection
         return list(projection.get(value, ()))
 
+    def tuples_covering(
+        self, table: str, location, position: int, address
+    ) -> Optional[List[Tuple]]:
+        """The ``tuples_matching(table, 0, location)`` bucket narrowed to
+        the tuples whose prefix at ``position`` contains ``address``,
+        read off the switch's prefix trie (overlay and mask included).
+        None — no index — for all but ``flowEntry`` destination
+        prefixes, and for ``linear_scan`` (reference backend) tables.
+        """
+        flow_table = self.config.tables.get(location)
+        if (table != "flowEntry" or position != 3 or flow_table is None
+                or flow_table.linear_scan):
+            return None
+        return sorted(flow_table._covering(address), key=sort_key)
+
     def delta(self, other: "_ConfigStoreView") -> Set[Tuple]:
         """Tuples live in exactly one of two views (the wiring is shared)."""
         return self.config.delta(other.config)

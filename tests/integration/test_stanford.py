@@ -3,18 +3,23 @@
 import pytest
 
 from repro.addresses import Prefix
+from repro.api import Session
+from repro.core.diffprov import _DiagnosisState
+from repro.datalog import BACKENDS
 from repro.scenarios.stanford import (
     StanfordForwardingError,
     build_stanford_config,
     stanford_topology,
 )
+from repro.sdn.emulation import _ConfigStoreView
+from repro.sdn.flowtable import FlowTable
+
+SMALL = dict(background_packets=60, entries_per_router=120, acl_rules=48)
 
 
 @pytest.fixture(scope="module")
 def scenario():
-    return StanfordForwardingError(
-        background_packets=60, entries_per_router=120, acl_rules=48
-    ).setup()
+    return StanfordForwardingError(**SMALL).setup()
 
 
 class TestTopologyGeneration:
@@ -79,3 +84,85 @@ class TestDiagnosis:
         report = scenario.diagnose()
         assert report.good_seed.table == "packet"
         assert report.bad_seed.table == "packet"
+
+
+def _spy(monkeypatch, owner, name):
+    """Record every return value of ``owner.name``."""
+    seen = []
+    original = getattr(owner, name)
+
+    def spied(self, *args):
+        seen.append(original(self, *args))
+        return seen[-1]
+
+    monkeypatch.setattr(owner, name, spied)
+    return seen
+
+
+class TestCandidateSearchCost:
+    """Blocker searches rank only the flow entries covering the packet.
+
+    Counts, not a stopwatch: a search that lists the switch's whole
+    flow table and runs the ``fwd`` rule's conditions on every entry is
+    what made the 757k-entry diagnosis pay for the configuration.
+    """
+
+    def test_warm_diagnosis_lists_no_flow_table(self, scenario, monkeypatch):
+        scenario.diagnose()  # warm: both executions materialized
+        listed = _spy(monkeypatch, FlowTable, "entries")
+        assert scenario.diagnose().success
+        assert listed == []
+
+    def test_conditions_run_once_per_covering_entry(
+        self, scenario, monkeypatch
+    ):
+        searches = []  # [covering entries, table entries, evaluations]
+        cover = _ConfigStoreView.tuples_covering
+        holds = _DiagnosisState._conditions_hold
+
+        def counted_cover(self, table, location, position, address):
+            found = cover(self, table, location, position, address)
+            if found is not None:  # None: the source-prefix condition
+                table_size = len(self.config.tables[location])
+                searches.append([len(found), table_size, 0])
+            return found
+
+        def counted_holds(self, rule, env):
+            searches[-1][2] += 1
+            return holds(self, rule, env)
+
+        monkeypatch.setattr(_ConfigStoreView, "tuples_covering", counted_cover)
+        monkeypatch.setattr(_DiagnosisState, "_conditions_hold", counted_holds)
+        assert scenario.diagnose().success
+        assert searches
+        for covering, entries, evaluated in searches:
+            assert covering < entries
+            assert evaluated <= covering + 1  # + the expected child
+
+    def test_reference_backend_scans_the_full_bucket(self, monkeypatch):
+        reference = StanfordForwardingError(engine="reference", **SMALL).setup()
+        answers = _spy(monkeypatch, _ConfigStoreView, "tuples_covering")
+        evaluated = _spy(monkeypatch, _DiagnosisState, "_conditions_hold")
+        assert reference.diagnose().success
+        assert answers and set(answers) == {None}
+        assert len(evaluated) >= len(reference.config.tables["oz2"])
+
+
+@pytest.mark.parametrize("operation", ["diagnose", "repair"])
+def test_backends_agree_on_the_canonical_report(operation):
+    reports = set()
+    for backend in BACKENDS:
+        built = StanfordForwardingError(**SMALL).setup()
+        with Session(
+            program=built.program,
+            good=built.good_execution,
+            bad=built.bad_execution,
+            good_event=built.good_event,
+            bad_event=built.bad_event,
+            good_time=built.good_time,
+            bad_time=built.bad_time,
+            minimize=True,
+            engine=backend,
+        ) as session:
+            reports.add(getattr(session, operation)().canonical_json())
+    assert len(reports) == 1

@@ -32,6 +32,14 @@ class TestEventLog:
         log.append("insert", parse_tuple("a(2)"))
         assert log.index_of_insert(parse_tuple("a(2)")) == 1
         assert log.index_of_insert(parse_tuple("a(9)")) is None
+        # Answers are remembered, None included, until the next append.
+        log.append("delete", parse_tuple("a(9)"))
+        assert log.index_of_insert(parse_tuple("a(9)")) is None
+        log.append("insert", parse_tuple("a(9)"))
+        assert log.index_of_insert(parse_tuple("a(9)")) == 3
+        log.append("insert", parse_tuple("a(2)"))
+        assert log.index_of_insert(parse_tuple("a(2)")) == 1
+        assert log.index_of_insert(parse_tuple("a(9)")) == 3
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ReproError):
