@@ -48,8 +48,8 @@ def diffprov_query(scenario):
     # Pinned to replay_cache=False: the paper's cost shape is one full
     # replay per candidate, which is exactly the from-scratch oracle
     # path.  The default forks candidates off one live base instead
-    # (docs/performance.md, "Replay"; bench_replay_cache.py measures
-    # that side).
+    # (docs/performance.md, "Replay"; the benchmark spine's
+    # replay.cache_off_delta_s row measures that side).
     debugger = DiffProv(
         scenario.program,
         DiffProvOptions(telemetry=telemetry, replay_cache=False),

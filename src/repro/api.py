@@ -74,7 +74,8 @@ def _seconds(value) -> None:
     # A Deadline that is already running (shared across calls) passes.
     if value is None or isinstance(value, Deadline):
         return
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or value != value:  # NaN
         raise ReproError("must be a number of seconds")
 
 

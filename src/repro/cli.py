@@ -892,7 +892,7 @@ def _cmd_serve(args) -> int:
             f"shed {sum(admission['shed'].values())}"
         )
         # The per-tenant SLO coda: how each tenant's books closed out.
-        for tenant, book in sorted((stats.get("slo") or {}).items()):
+        for tenant, book in sorted(stats["slo"].items()):
             summary += (
                 f"\n  {tenant}: offered {book['offered']}, "
                 f"ok {book['ok']}, errored {book['errored']}, "
@@ -909,7 +909,7 @@ def _install_flight_dump(server) -> None:
     """SIGUSR1 dumps the flight recorder to stderr (docs/observability.md)."""
     import asyncio
 
-    if server.ops is None or not hasattr(signal, "SIGUSR1"):
+    if not hasattr(signal, "SIGUSR1"):
         return
     loop = asyncio.get_running_loop()
 

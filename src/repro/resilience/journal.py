@@ -72,8 +72,7 @@ class DiagnosisJournal:
 
     ``fingerprint`` identifies the search (log fingerprints, events,
     option signature); on resume it must match the header of the
-    existing file.  ``fsync=False`` trades crash-safety for speed — the
-    benchmark knob; the default honours the write-ahead contract.
+    existing file.
     """
 
     def __init__(
@@ -81,11 +80,9 @@ class DiagnosisJournal:
         path: str,
         fingerprint: Optional[Dict[str, object]] = None,
         resume: bool = False,
-        fsync: bool = True,
     ):
         self.path = str(path)
         self.fingerprint = dict(fingerprint or {})
-        self.fsync = bool(fsync)
         self.resumed = False
         # Verdicts recovered from a previous run, keyed (kind, key).
         self._verdicts: Dict[tuple, object] = {}
@@ -191,7 +188,7 @@ class DiagnosisJournal:
         text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         self._handle.write(checksum_line(text) + "\n")
         self._handle.flush()
-        if self.fsync and entry_type in self._DURABLE_TYPES:
+        if entry_type in self._DURABLE_TYPES:
             os.fsync(self._handle.fileno())
         self.writes += 1
 
@@ -237,8 +234,7 @@ class DiagnosisJournal:
     def flush(self) -> None:
         if self._handle is not None:
             self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
+            os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         if self._handle is not None:

@@ -36,6 +36,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import signal
+import threading
 import time as _time
 from typing import Callable, Dict, List, Optional
 
@@ -324,6 +325,8 @@ class WorkerShard:
             raise WorkerDied(f"shard {self.index} is not started")
         try:
             future = self._pool.submit(_worker_job, job)
+            if timeout is not None:  # a 1e300 s budget overflows the wait
+                timeout = min(timeout, threading.TIMEOUT_MAX)
             status, payload = future.result(timeout=timeout)
         except concurrent.futures.process.BrokenProcessPool as exc:
             raise WorkerDied(

@@ -28,6 +28,7 @@ feature (:class:`repro.api.Session`).
 from __future__ import annotations
 
 import json
+import sys
 from typing import Dict, Optional
 
 from ..api import check_option
@@ -162,9 +163,12 @@ def parse_request(payload) -> Request:
                             "(0 = most urgent)")
     deadline_s = payload.get("deadline_s")
     if deadline_s is not None:
+        # NaN fails every comparison; infinities and integers past the
+        # float range fail the upper bound.
         if not isinstance(deadline_s, (int, float)) \
-                or isinstance(deadline_s, bool) or deadline_s <= 0:
-            raise ProtocolError("'deadline_s' must be a positive number")
+                or isinstance(deadline_s, bool) \
+                or not 0 < deadline_s <= sys.float_info.max:
+            raise ProtocolError("'deadline_s' must be positive and finite")
         deadline_s = float(deadline_s)
     options = payload.get("options") or {}
     if not isinstance(options, dict):
@@ -225,6 +229,14 @@ def encode(obj: Dict) -> bytes:
     ).encode("utf-8")
 
 
+def _reject_constant(name: str):
+    # Python's json accepts NaN / Infinity / -Infinity; strict JSON does not.
+    raise ProtocolError(f"request is not valid JSON: {name} is not a number")
+
+
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode(line) -> Dict:
     """Parse one NDJSON frame; typed errors, never a raw ValueError."""
     if isinstance(line, bytes):
@@ -237,7 +249,7 @@ def decode(line) -> Dict:
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"request is not valid UTF-8: {exc}") from exc
     try:
-        return json.loads(line)
+        return _STRICT_JSON.decode(line)
     except ValueError as exc:
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
 

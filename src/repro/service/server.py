@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import os
 import signal
 import tempfile
@@ -43,7 +44,6 @@ from .admission import AdmissionController, Ticket
 from .fleet import WorkerDied, WorkerFleet, WorkerShard
 from .protocol import (
     Request,
-    decode,
     encode,
     parse_request,
     response_error,
@@ -94,7 +94,6 @@ class DiagnosisServer:
         default_engine=None,
         allow_test_hooks: bool = False,
         clock=_time.monotonic,
-        ops: bool = True,
         flight_capacity: int = 128,
         slo_objective: float = 0.99,
         slo_window_s: float = 300.0,
@@ -102,16 +101,12 @@ class DiagnosisServer:
         self.telemetry = _active_telemetry(telemetry)
         self.clock = clock
         # The always-on operations surface: fleet-wide metrics,
-        # per-tenant SLO books, and the flight recorder.  ``ops=False``
-        # strips it for overhead benchmarks.
-        self.ops = (
-            OpsCenter(
-                clock=clock,
-                flight_capacity=flight_capacity,
-                slo_objective=slo_objective,
-                slo_window_s=slo_window_s,
-            )
-            if ops else None
+        # per-tenant SLO books, and the flight recorder.
+        self.ops = OpsCenter(
+            clock=clock,
+            flight_capacity=flight_capacity,
+            slo_objective=slo_objective,
+            slo_window_s=slo_window_s,
         )
         self.max_attempts = max(1, int(max_attempts))
         self.keep_journals = bool(keep_journals)
@@ -221,11 +216,10 @@ class DiagnosisServer:
                 # Keep the SLO books honest: a drained straggler is an
                 # errored outcome for its tenant, counted here because
                 # _serve_ticket will find the future already resolved.
-                if self.ops is not None:
-                    self._record_finished(
-                        ticket, response, ok=False,
-                        journal_kept=ticket.journal_path,
-                    )
+                self._record_finished(
+                    ticket, response, ok=False,
+                    journal_kept=ticket.journal_path,
+                )
                 ticket.future.set_result(response)
         return clean
 
@@ -286,10 +280,11 @@ class DiagnosisServer:
             )
         except ProtocolError as exc:
             # Best-effort id recovery, so a socket client can match the
-            # error to its request even when validation rejected it.
+            # error to its request even when validation rejected it
+            # (lenient json.loads: a NaN-bearing line keeps its id).
             if isinstance(payload, (str, bytes)):
-                with contextlib.suppress(ProtocolError):
-                    payload = decode(payload)
+                with contextlib.suppress(ValueError):
+                    payload = json.loads(payload)
             rid = payload.get("id") if isinstance(payload, dict) else None
             return response_error(
                 rid if isinstance(rid, str) else None,
@@ -302,11 +297,9 @@ class DiagnosisServer:
         if request.kind == "metrics":
             return response_pong(request.id, metrics=self.metrics_text())
         if request.kind == "flight":
-            flight = (
-                self.ops.flight.snapshot() if self.ops is not None
-                else {"capacity": 0, "recorded_total": 0, "entries": []}
+            return response_pong(
+                request.id, flight=self.ops.flight.snapshot()
             )
-            return response_pong(request.id, flight=flight)
         if request.test_hold is not None and not self.allow_test_hooks:
             return response_error(
                 request.id, "test_hold requires allow_test_hooks",
@@ -327,8 +320,7 @@ class DiagnosisServer:
                 scenario=request.scenario,
                 **ctx.span_attrs(),
             )
-        if self.ops is not None:
-            self.ops.slo.offered(request.tenant)
+        self.ops.slo.offered(request.tenant)
         try:
             if span is not None:
                 admission_span = self.telemetry.tracer.start_span(
@@ -345,15 +337,13 @@ class DiagnosisServer:
             else:
                 ticket = self.admission.admit(request)
         except Overloaded as exc:
-            if self.ops is not None:
-                self.ops.slo.shed(request.tenant, exc.reason)
+            self.ops.slo.shed(request.tenant, exc.reason)
             if span is not None:
                 self.telemetry.tracer.finish(
                     span, "error", error=f"shed: {exc.reason}"
                 )
             return response_overloaded(request.id, exc)
-        if self.ops is not None:
-            self.ops.slo.admitted(request.tenant)
+        self.ops.slo.admitted(request.tenant)
         ticket.trace = ctx
         ticket.span = span
         self._pending.add(ticket)
@@ -467,8 +457,7 @@ class DiagnosisServer:
             with contextlib.suppress(OSError):
                 os.unlink(ticket.journal_path)
         if not ticket.future.done():
-            if self.ops is not None:
-                self._record_finished(ticket, response, ok, journal_kept)
+            self._record_finished(ticket, response, ok, journal_kept)
             ticket.future.set_result(response)
 
     def _record_finished(self, ticket: Ticket, response: Dict, ok: bool,
@@ -586,7 +575,7 @@ class DiagnosisServer:
             self.fleet.record_success(shard)
             if isinstance(payload, dict):
                 delta = payload.pop("metrics_delta", None)
-                if delta and self.ops is not None:
+                if delta:
                     self.ops.fold_worker_delta(delta)
             if dispatch_span is not None:
                 worker_spans = (
@@ -647,24 +636,20 @@ class DiagnosisServer:
 
     def stats(self) -> Dict[str, object]:
         """Queue, shed, tenant, and fleet state (the ops surface)."""
-        stats: Dict[str, object] = {
+        return {
             "admission": self.admission.stats(),
             "fleet": self.fleet.stats(),
             "responses_total": self.responses_total,
-        }
-        if self.ops is not None:
-            stats["slo"] = self.ops.slo.snapshot()
-            stats["flight"] = {
+            "slo": self.ops.slo.snapshot(),
+            "flight": {
                 "capacity": self.ops.flight.capacity,
                 "recorded_total": self.ops.flight.recorded_total,
-            }
-        return stats
+            },
+        }
 
     def metrics_text(self) -> str:
         """The Prometheus-style exposition page (``metrics`` verb and
         the ``--metrics-port`` endpoint)."""
-        if self.ops is None:
-            return ""
         metrics = self.ops.metrics
         metrics.set_gauge("service.queue.depth", self.admission.queued)
         metrics.set_gauge("service.in_flight", self.admission.in_flight)

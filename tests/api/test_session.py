@@ -46,6 +46,8 @@ class TestConstruction:
         ({"engine": "fast"}, "'engine' unknown engine backend 'fast'"),
         ({"journal": 7}, "'journal' must be a file path"),
         ({"faults": 0.1}, "'faults' must be a fault-plan spec"),
+        # NaN used to become an already-expired budget.
+        ({"deadline_s": float("nan")}, "'deadline_s' must be a number"),
     ])
     def test_mistyped_knobs_rejected_eagerly(self, knobs, fragment):
         # The same table the service protocol admits options through

@@ -89,6 +89,14 @@ class TestMinimization:
         minimized = scenario.diagnose(DiffProvOptions(minimize=True))
         assert plain.changes == minimized.changes
 
+    def test_post_pass_costs_at_most_two_replays_per_change(self):
+        scenario = SDN1BrokenFlowEntry(background_packets=12).setup()
+        plain = scenario.diagnose()
+        minimized = scenario.diagnose(DiffProvOptions(minimize=True))
+        assert minimized.changes == plain.changes  # nothing to drop here
+        # One replay per change, plus its variants.
+        assert minimized.replays <= plain.replays + 2 * plain.num_changes
+
 
 class TestAutoReference:
     def test_similarity_counts_matching_fields(self):
@@ -126,6 +134,21 @@ class TestAutoReference:
         assert result.reference.args[0] in ("web1", "dpi")
         assert result.report.num_changes == 1
         assert result.report.changes[0].insert.table == "flowEntry"
+
+    def test_discovered_reference_matches_the_operator_one(self):
+        from repro.scenarios.dns import DNSStaleReplica
+
+        scenario = DNSStaleReplica().setup()
+        manual = scenario.diagnose()
+        result = auto_diagnose(
+            scenario.program,
+            scenario.good_execution,
+            scenario.bad_execution,
+            scenario.bad_event,
+        )
+        assert result.found
+        assert len(result.tried) >= 1
+        assert result.report.changes == manual.changes
 
     def test_consistent_references_align_with_zero_changes(self, sdn1):
         # Background deliveries at web2 are events the network treats
@@ -170,6 +193,15 @@ class TestDistributedQueries:
         # of the graph (background traffic stays untouched).
         assert 0 < stats.fetched_fraction < 0.5
         assert stats.vertices_fetched <= tree.size()
+
+    def test_flap_query_touches_under_a_quarter(self):
+        from repro.scenarios.flap import FlappingRoute
+
+        scenario = FlappingRoute(flaps=3, probes_per_phase=3).setup()
+        partitioned = PartitionedProvenance(scenario.good_execution.graph)
+        _, stats = partitioned.query(scenario.good_event)
+        # §4.8: only the queried tree is materialized on demand.
+        assert 0 < stats.fetched_fraction < 0.25
 
     def test_only_on_path_nodes_contacted(self, sdn1):
         partitioned = PartitionedProvenance(sdn1.good_execution.graph)

@@ -78,6 +78,63 @@ class TestLossyDiagnosis:
             assert report.failure_category is not None
 
 
+def sweep_scenario(rate):
+    """SDN1-F with both loss knobs at ``rate`` (the loss-rate sweep)."""
+    return ALL_SCENARIOS["SDN1-F"](
+        background_packets=20,
+        faults=f"loss={rate:g},fetch-loss={rate:g},retries=3,timeout=1,seed=7",
+    )
+
+
+def coverage(report):
+    return min(s.fetched_fraction for s in report.distributed_stats.values())
+
+
+@pytest.fixture(scope="module")
+def fault_free_sweep_report():
+    return sweep_scenario(0.0).diagnose()
+
+
+class TestLossRateSweep:
+    """Graceful degradation across loss rates, counted not timed:
+    coverage held by retries and log recovery, retry work bounded by
+    the plan instead of by a turnaround ratio."""
+
+    RETRIES = 3
+
+    def test_fault_free_run_is_clean(self, fault_free_sweep_report):
+        report = fault_free_sweep_report
+        assert report.success
+        assert any(ROOT_CAUSE in c.describe() for c in report.changes)
+        assert not report.degraded and report.lost_events == 0
+        stats = report.distributed_stats.values()
+        assert sum(s.timeouts for s in stats) == 0
+        assert sum(s.retries for s in stats) == 0
+        assert 0 < coverage(report) <= 1.0
+
+    @pytest.mark.parametrize("rate", [0.01, 0.05, 0.10])
+    def test_lossy_run_degrades_but_localizes(self, rate,
+                                              fault_free_sweep_report):
+        report = sweep_scenario(rate).diagnose()
+        assert report.success, report.summary()
+        assert any(ROOT_CAUSE in c.describe() for c in report.changes)
+        # Nonzero loss is detected and surfaced, not silently absorbed.
+        assert report.degraded
+        assert report.lost_events > 0
+        assert coverage(report) >= 0.5 * coverage(fault_free_sweep_report)
+        # Recovery re-replays each execution at most once, however many
+        # events were lost.
+        assert report.replays <= fault_free_sweep_report.replays + 2
+        for side, stats in report.distributed_stats.items():
+            # Every fetch that crossed the network tried at most
+            # 1 + retries times; a failed fetch tried exactly that many.
+            fetches = stats.cross_node_fetches + stats.failed_fetches
+            assert stats.fetch_attempts <= (self.RETRIES + 1) * fetches, side
+            assert stats.retries <= self.RETRIES * fetches, side
+            assert (self.RETRIES + 1) * stats.failed_fetches \
+                <= stats.fetch_attempts, side
+
+
 class TestFaultsFlag:
     def test_cli_diagnose_with_faults(self, capsys):
         assert (

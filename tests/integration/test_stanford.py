@@ -166,3 +166,23 @@ def test_backends_agree_on_the_canonical_report(operation):
         ) as session:
             reports.add(getattr(session, operation)().canonical_json())
     assert len(reports) == 1
+
+
+def test_second_repair_of_one_session_is_identical(scenario):
+    # The emulator never enters the NDlog replayer: a repeat repair()
+    # re-verifies its plans against the same packet schedule and must
+    # reproduce the first report byte for byte.
+    with Session(
+        program=scenario.program,
+        good=scenario.good_execution,
+        bad=scenario.bad_execution,
+        good_event=scenario.good_event,
+        bad_event=scenario.bad_event,
+        good_time=scenario.good_time,
+        bad_time=scenario.bad_time,
+        minimize=True,
+    ) as session:
+        first = session.repair()
+        second = session.repair()
+    assert first.repair["plans"]
+    assert second.canonical_json() == first.canonical_json()

@@ -23,6 +23,19 @@ def test_replay_cache_off_is_byte_identical(baseline):
     assert report.canonical_json() == baseline
 
 
+def test_replay_cache_off_is_byte_identical_on_sdn4():
+    # Two faulty entries: several plans, each verified by an anchored
+    # replay that forks off the live base when the cache is on.
+    reports = []
+    for replay_cache in (True, False):
+        with Session(scenario="SDN4", repair=True,
+                     replay_cache=replay_cache) as session:
+            reports.append(session.diagnose())
+    assert reports[0].repair["status"] == "ok"
+    assert reports[0].repair["plans"]
+    assert reports[1].canonical_json() == reports[0].canonical_json()
+
+
 def test_journal_resume_reuses_plan_verdicts(baseline, tmp_path):
     journal = str(tmp_path / "repair.journal")
     with Session(scenario="SDN1", repair=True, journal=journal) as session:

@@ -160,3 +160,32 @@ class TestLifecycle:
         journal.close()
         assert "minimize" in text
         assert "1 verdict(s)" in text
+
+
+class TestDurabilityIsCounted:
+    """The write-ahead cost, counted instead of timed: one fsync per
+    line whose loss would cost recomputation, none for markers."""
+
+    def test_fsync_once_per_durable_line_plus_close(self, tmp_path,
+                                                    monkeypatch):
+        import repro.resilience.journal as journal_module
+        from repro.api import Session
+
+        calls = []
+        real_fsync = journal_module.os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(journal_module.os, "fsync", counting_fsync)
+        path = str(tmp_path / "sdn4.journal")
+        with Session(scenario="SDN4", minimize=True, journal=path) as session:
+            report = session.diagnose()
+        assert report.success
+
+        types = [entry["type"] for entry in _entries(path)]
+        durable = sum(t in ("start", "verdict", "result") for t in types)
+        assert types.count("verdict") > 0
+        assert types.count("phase") > 0 and types.count("round") > 0
+        assert len(calls) == durable + 1  # + the flush in close()

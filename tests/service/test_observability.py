@@ -125,23 +125,6 @@ def test_mistyped_option_is_refused_before_admission():
     assert book["errored"] == 0
 
 
-def test_ops_disabled_keeps_the_verbs_answering():
-    async def scenario():
-        async with DiagnosisServer(workers=1, ops=False) as server:
-            client = ServiceClient(server)
-            await client.diagnose("DNS")
-            stats = await client.stats()
-            flight = await client.flight()
-            return server, stats, flight
-
-    server, stats, flight = _run(scenario())
-    assert server.ops is None
-    assert "slo" not in stats["stats"]
-    assert flight["flight"] == {
-        "capacity": 0, "recorded_total": 0, "entries": [],
-    }
-
-
 def test_metrics_endpoint_answers_a_raw_http_scrape():
     async def scenario():
         async with DiagnosisServer(workers=1) as server:

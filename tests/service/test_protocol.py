@@ -73,6 +73,23 @@ def test_parse_full_request_round_trips_into_job():
       "trace": {"span_id": "cafe"}}, "non-empty string 'trace_id'"),
     ({"id": "x", "kind": "diagnose", "scenario": "SDN1",
       "trace": {"trace_id": ""}}, "non-empty string 'trace_id'"),
+    ({"id": "x", "kind": "diagnose", "scenario": "SDN1",
+      "deadline_s": 10 ** 400}, "'deadline_s' must be positive and finite"),
+    # json.loads accepts bare NaN / Infinity / -Infinity; a NaN deadline
+    # slipped past ``deadline_s <= 0`` and crashed its worker.
+    (b'{"id": "x", "kind": "ping", "deadline_s": NaN}',
+     "NaN is not a number"),
+    (b'{"id": "x", "kind": "ping", "deadline_s": Infinity}',
+     "Infinity is not a number"),
+    (b'{"id": "x", "kind": "ping", "deadline_s": -Infinity}',
+     "-Infinity is not a number"),
+    # Dicts from the in-process ServiceClient skip decode().
+    ({"id": "x", "kind": "diagnose", "scenario": "SDN1",
+      "deadline_s": float("nan")}, "must be positive and finite"),
+    ({"id": "x", "kind": "diagnose", "scenario": "SDN1",
+      "deadline_s": float("inf")}, "must be positive and finite"),
+    ({"id": "x", "kind": "diagnose", "scenario": "SDN1",
+      "deadline_s": float("-inf")}, "must be positive and finite"),
 ])
 def test_parse_rejections_are_typed(payload, fragment):
     with pytest.raises(ProtocolError, match=fragment):

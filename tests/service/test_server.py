@@ -169,6 +169,16 @@ def test_expired_deadline_degrades_not_errors(server_loop):
     assert report["deadline_degraded"] is True
 
 
+def test_astronomical_finite_deadline_is_served(server_loop):
+    # Finite, so admitted; the worker-call timeout derived from it must
+    # not overflow the platform's wait primitive.
+    loop, server = server_loop
+    response = loop.run_until_complete(
+        ServiceClient(server).diagnose("DNS", deadline_s=1e300)
+    )
+    assert response["status"] == "ok", response
+
+
 def test_socket_transport_round_trip(server_loop):
     loop, server = server_loop
 
@@ -188,6 +198,33 @@ def test_socket_transport_round_trip(server_loop):
     assert pong["status"] == "pong"
     assert ok["status"] == "ok"
     assert second["status"] == "ok" and pong2["status"] == "pong"
+
+
+def test_non_finite_deadlines_are_refused_before_admission():
+    constants = ("NaN", "Infinity", "-Infinity")
+
+    async def scenario():
+        async with DiagnosisServer(workers=1) as server:
+            host, port = await server.serve(port=0)
+            async with SocketServiceClient(host, port) as client:
+                # encode() writes the bare JSON constant onto the wire.
+                responses = [
+                    await client.diagnose(
+                        "DNS", id=name, deadline_s=float(name), timeout=60,
+                    )
+                    for name in constants
+                ]
+            return responses, server.fleet.stats(), server.admission.stats()
+
+    responses, fleet, admission = run(scenario())
+    for name, response in zip(constants, responses):
+        assert response["id"] == name
+        assert response["status"] == "error"
+        assert response["category"] == "protocol"
+    assert fleet["restarts"] == 0
+    assert all(shard["crashes"] == 0 and not shard["breaker_open"]
+               for shard in fleet["shards"])
+    assert admission["admitted_total"] == 0
 
 
 def test_warm_cache_spans_requests(server_loop):
