@@ -35,13 +35,14 @@ backend; both leave the report byte-identical (docs/performance.md).
 from __future__ import annotations
 
 import contextlib
+import inspect
 import os
-from typing import Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 from .core.autoref import AutoReferenceResult, auto_diagnose
 from .core.diffprov import DiffProv, DiffProvOptions
 from .core.report import DiagnosisReport
-from .datalog.config import EngineConfig
+from .datalog.config import BACKENDS, EngineConfig
 from .errors import ReproError
 from .faults import FaultPlan
 from .observability import Telemetry
@@ -49,7 +50,10 @@ from .provenance.query import provenance_query
 from .provenance.tree import ProvenanceTree
 from .resilience import Deadline, DiagnosisJournal
 
-__all__ = ["Session", "OPTION_CHECKS", "check_option"]
+__all__ = [
+    "Session", "KNOBS", "Knob", "check_knobs", "check_option", "knob_default",
+    "knobs_for",
+]
 
 
 def _flag(value) -> None:
@@ -65,10 +69,6 @@ def _integer(minimum: int):
             raise ReproError(f"must be an integer >= {minimum}")
     return check
 
-
-# Checks for the knobs only an in-process caller can set.  They stay
-# out of OPTION_CHECKS below, which is also the service's wire
-# whitelist; None is each one's "not given".
 
 def _seconds(value) -> None:
     # A Deadline that is already running (shared across calls) passes.
@@ -104,22 +104,100 @@ def _telemetry_switch(value) -> None:
         raise ReproError('must be false, true or "manual"')
 
 
-# The tuning knobs that cross a trust boundary, each with the check its
-# value must pass: the service protocol admits a request's ``options``
-# through this table (repro.service.protocol), and Session validates
-# the knobs it takes verbatim against the same entries — one table, so
-# the two surfaces cannot drift.  ``telemetry`` is the wire form; in
-# process, Session takes a Telemetry object as well.
-OPTION_CHECKS = {
-    "max_rounds": _integer(1),
-    "minimize": _flag,
-    "taint": _flag,
-    "repair": _flag,
-    "limit": _integer(0),
-    "faults": _fault_spec,
-    "engine": EngineConfig.coerce,
-    "telemetry": _telemetry_switch,
-}
+class Knob(NamedTuple):
+    """One tuning knob, declared once; every surface is derived from it.
+
+    ``call`` names the signature that takes the knob and holds its
+    default: ``"Session"`` (:class:`Session`), ``"autoref"``
+    (:meth:`Session.autoref`) or ``"monitor"``
+    (:class:`repro.streaming.StreamMonitor`, which
+    :meth:`Session.monitor` forwards to).  ``check`` raises
+    :class:`ReproError` on a bad value (``None``: an object handed
+    through unchecked).  ``wire`` says whether a service request may
+    set the knob; a check in its place is the one the wire form must
+    pass instead.  ``flag`` is ``None`` when the CLI derives no flag,
+    else the extra argparse keywords (``type``, ``metavar``,
+    ``choices``); a typed flag's value must pass ``check`` too.
+    """
+
+    name: str
+    check: Optional[Callable]
+    doc: str
+    call: str = "Session"
+    wire: object = False
+    flag: Optional[dict] = None
+
+
+# Every knob of Session, Session.autoref and the monitor.  Validation,
+# the service's wire whitelist (check_option), the CLI flags and the
+# docs checks (tests/docs/test_option_table.py) all read this table.
+KNOBS = (
+    Knob("max_rounds", _integer(1), "round limit", wire=True,
+         flag={"type": int}),
+    Knob("taint", _flag, "taint formulas (without them DiffProv is a "
+         "literal tree comparison: an ablation, expect failure)",
+         wire=True, flag={}),
+    Knob("minimize", _flag, "greedy minimality post-pass on the returned "
+         "changes", wire=True, flag={}),
+    Knob("repair", _flag, "verify ranked rollback plans after a "
+         "successful diagnosis (docs/repair.md)", wire=True, flag={}),
+    Knob("faults", _fault_spec, "deterministic fault plan or spec, e.g. "
+         "'loss=0.1,fetch-loss=0.15,seed=7' (docs/faults.md)", wire=True,
+         flag={"metavar": "SPEC"}),
+    Knob("engine", EngineConfig.coerce, "evaluation backend: compiled "
+         "(the fast path) or reference (the oracle); reports are "
+         "byte-identical (docs/performance.md)", wire=True,
+         flag={"choices": BACKENDS}),
+    Knob("replay_cache", _flag, "forking candidate replays off one live "
+         "base instead of re-deriving each from scratch", flag={}),
+    Knob("journal", _path, "write-ahead diagnosis journal; with resume, "
+         "recorded verdicts are skipped (docs/resilience.md)",
+         flag={"metavar": "FILE"}),
+    Knob("resume", _flag, "resume from an existing journal", flag={}),
+    Knob("deadline_s", _seconds, "end-to-end wall-clock budget; expiry "
+         "degrades to a partial report instead of running on",
+         flag={"type": float, "metavar": "SECONDS"}),
+    Knob("telemetry", _telemetry_object, "collect metrics and spans: "
+         "True for a fresh Telemetry, or one to share across sessions",
+         wire=_telemetry_switch),
+    Knob("trace", None, "a TraceContext (or its dict) placing the "
+         "session's spans in a cross-process trace"),
+    Knob("cache", None, "a ReplayCache shared across sessions, keeping "
+         "snapshots warm (ignored without replay_cache)"),
+    Knob("scenario_params", None, "keyword arguments for the scenario "
+         "class, e.g. {'background_packets': 120}"),
+    Knob("limit", _integer(0), "candidate references to try",
+         call="autoref", wire=True, flag={"type": int}),
+    Knob("capacity", _integer(1), "sliding-window size; older state "
+         "folds into a base snapshot", call="monitor",
+         flag={"type": int, "metavar": "EVENTS"}),
+    Knob("lateness", _integer(1), "ingest reorder tolerance before a "
+         "missing event becomes a gap", call="monitor",
+         flag={"type": int, "metavar": "EVENTS"}),
+    Knob("max_pending", _integer(1), "detections awaiting diagnosis "
+         "before the oldest is shed", call="monitor",
+         flag={"type": int, "metavar": "N"}),
+    Knob("diagnose_every", _integer(1), "run pending diagnoses every "
+         "Nth delivery", call="monitor", flag={"type": int, "metavar": "N"}),
+)
+
+
+def knobs_for(call: str):
+    """The rows of :data:`KNOBS` that ``call`` takes, in table order."""
+    return [knob for knob in KNOBS if knob.call == call]
+
+
+def knob_default(knob: Knob):
+    """The knob's default, read from the signature that takes it."""
+    if knob.call == "monitor":
+        from .streaming import StreamMonitor
+
+        target = StreamMonitor.__init__
+    elif knob.call == "autoref":
+        target = Session.autoref
+    else:
+        target = Session.__init__
+    return inspect.signature(target).parameters[knob.name].default
 
 
 def _checked(name: str, value, check) -> None:
@@ -129,15 +207,25 @@ def _checked(name: str, value, check) -> None:
         raise ReproError(f"option {name!r} {exc} (got {value!r})") from exc
 
 
+def check_knobs(call: str, values) -> None:
+    """Check every knob ``call`` takes against its row; ``values`` maps
+    each knob name to its value (the caller's ``locals()``)."""
+    for knob in knobs_for(call):
+        if knob.check is not None:
+            _checked(knob.name, values[knob.name], knob.check)
+
+
 def check_option(name: str, value) -> None:
-    """Raise :class:`ReproError` unless ``value`` suits knob ``name``."""
-    check = OPTION_CHECKS.get(name)
-    if check is None:
+    """Raise :class:`ReproError` unless a service request may set knob
+    ``name`` to ``value`` (the protocol's wire whitelist)."""
+    wire = {knob.name: knob for knob in KNOBS if knob.wire}
+    knob = wire.get(name)
+    if knob is None:
         raise ReproError(
             f"unsupported option {name!r} "
-            f"(allowed: {', '.join(sorted(OPTION_CHECKS))})"
+            f"(allowed: {', '.join(sorted(wire))})"
         )
-    _checked(name, value, check)
+    _checked(name, value, knob.check if knob.wire is True else knob.wire)
 
 
 class Session:
@@ -146,60 +234,13 @@ class Session:
     Construct with ``scenario="SDN1"`` (any key of
     :data:`repro.scenarios.ALL_SCENARIOS`, case-insensitive) or with
     the explicit ``program``/``good``/``bad``/``good_event``/
-    ``bad_event`` quintet.  All other arguments are tuning knobs:
-
-    ``faults``
-        A :class:`repro.FaultPlan` or a spec string such as
-        ``"loss=0.1,seed=7"`` (docs/faults.md).
-    ``telemetry``
-        ``True`` to collect metrics and spans into a fresh
-        :class:`repro.Telemetry` (exposed as ``session.telemetry``),
-        or an existing instance to share one across sessions.
-    ``trace``
-        A :class:`repro.observability.TraceContext` (or its ``to_dict``
-        form) positioning this session inside a cross-process trace;
-        the tracer stamps root spans with the trace id and span
-        lineage so a service worker's spans stitch under the server's
-        dispatch span (docs/observability.md).  Ignored without
-        ``telemetry``.
-    ``engine``
-        An :class:`repro.EngineConfig`, a backend name string
-        (``"compiled"`` — the fast path — or ``"reference"`` — the
-        oracle), or its ``{"backend": ...}`` wire mapping.  Selects the
-        evaluation backend for both executions; both produce
-        byte-identical reports (docs/performance.md).  ``None`` keeps
-        each execution's own config (the compiled default).
-    ``replay_cache``
-        Fork candidate replays off one live base per execution
-        (checkpoint/rollback) instead of re-deriving the log per
-        candidate; ``False`` makes every replay re-derive from scratch.
-    ``max_rounds``, ``minimize``, ``taint``
-        As in :class:`repro.DiffProvOptions` (``taint`` maps to
-        ``enable_taint``).
-    ``journal``, ``resume``
-        Path of the write-ahead diagnosis journal, and whether to
-        resume from an existing one; candidate verdicts recorded by a
-        previous (possibly killed) run are skipped and the resumed
-        report is byte-identical (docs/resilience.md).
-    ``cache``
-        An existing :class:`repro.replay.cache.ReplayCache` to attach
-        to the session's executions, so snapshots stay warm *across*
-        sessions (they seed the replay base and answer repeated
-        candidates) — each diagnosis-service worker keeps one per
-        process this way (docs/service.md).  Snapshot keys embed the
-        log fingerprint, so a single cache safely serves many
-        scenarios.  Ignored when ``replay_cache=False``.
-    ``deadline_s``
-        End-to-end wall-clock budget for each diagnose/autoref call.
-    ``repair``
-        Run the rollback planner (:mod:`repro.repair`) after every
-        successful diagnosis and attach ranked, replay-verified fix
-        plans as ``report.repair`` (docs/repair.md).  Equivalent to
-        calling :meth:`repair` instead of :meth:`diagnose`.
-    ``scenario_params``
-        Extra keyword arguments forwarded to the scenario class in
-        scenario mode, e.g. ``scenario_params={"background_packets":
-        120}`` to rescale a workload.
+    ``bad_event`` quintet.  All other arguments are tuning knobs, each
+    declared once in :data:`KNOBS` with its check and a one-line doc
+    (docs/api.md tabulates them with their CLI flags).  ``taint`` maps
+    to ``DiffProvOptions.enable_taint`` and ``deadline_s`` to
+    ``deadline``; ``faults`` also takes a spec string, ``telemetry``
+    also an existing :class:`repro.Telemetry`, and ``engine`` a backend
+    name, an :class:`repro.EngineConfig` or its wire mapping.
 
     Scenario construction is lazy: the executions are built on first
     use, so creating a Session is cheap.
@@ -258,23 +299,9 @@ class Session:
                     "explicit sessions need program, good, bad, "
                     f"good_event and bad_event (missing: {', '.join(missing)})"
                 )
-        for name, value in (
-            ("max_rounds", max_rounds), ("minimize", minimize),
-            ("taint", taint), ("repair", repair), ("engine", engine),
-        ):
-            check_option(name, value)
-        for name, value, check in (
-            ("replay_cache", replay_cache, _flag),
-            ("resume", resume, _flag),
-            ("journal", journal, _path),
-            ("deadline_s", deadline_s, _seconds),
-            ("telemetry", telemetry, _telemetry_object),
-        ):
-            _checked(name, value, check)
         if isinstance(faults, str):
             faults = FaultPlan.parse(faults)
-        else:
-            check_option("faults", faults)
+        check_knobs("Session", locals())
         if telemetry is True:
             telemetry = Telemetry()
         self.engine_config = (
@@ -506,7 +533,7 @@ class Session:
         journal knobs (rejected candidates are skipped on resume) and
         the deadline.
         """
-        check_option("limit", limit)
+        check_knobs("autoref", locals())
         self.setup()
         with self._journal_scope("autoref", resume_from, limit=limit):
             return auto_diagnose(
@@ -521,13 +548,9 @@ class Session:
     def monitor(
         self,
         *,
-        capacity: int = 24,
-        lateness: int = 8,
-        max_pending: int = 8,
-        diagnose_every: int = 1,
-        reference_limit: int = 5,
         stream: Optional[str] = None,
         resume_from: Optional[str] = None,
+        **knobs,
     ):
         """Watch the session's event stream; diagnose detections online.
 
@@ -551,10 +574,10 @@ class Session:
         record journal: a SIGKILL'd monitor resumed over the same
         stream re-emits the identical record sequence.
 
-        ``capacity`` bounds the window (events), ``lateness`` the
-        ingest reorder tolerance, ``max_pending`` the queue of
-        detections awaiting diagnosis (overflow sheds the oldest), and
-        ``diagnose_every`` defers diagnosis to every Nth delivery.
+        ``knobs`` are the monitor rows of :data:`KNOBS` —
+        ``capacity``, ``lateness``, ``max_pending`` and
+        ``diagnose_every`` — with :class:`~repro.streaming.StreamMonitor`'s
+        defaults.
         """
         if self._closed:
             raise ReproError("this Session is closed")
@@ -575,39 +598,33 @@ class Session:
             source = ScenarioStreamSource.for_name(
                 self.scenario_name, faults=plan, **self._scenario_params
             )
+        # Constructed first so a bad knob fails before a journal opens.
+        monitor = StreamMonitor(
+            source,
+            engine=self.engine_config,
+            minimize=self.options.minimize,
+            repair=self.options.repair,
+            deadline_s=self.options.deadline,
+            telemetry=self.telemetry,
+            **knobs,
+        )
         path = resume_from if resume_from is not None else self.journal_path
-        journal = None
         if path is not None:
-            journal = DiagnosisJournal(
+            values = {
+                knob.name: knobs.get(knob.name, knob_default(knob))
+                for knob in knobs_for("monitor")
+            }
+            monitor.journal = self.journal = DiagnosisJournal(
                 str(path),
-                fingerprint=self._monitor_fingerprint(
-                    source, capacity=capacity, lateness=lateness,
-                    max_pending=max_pending, diagnose_every=diagnose_every,
-                    reference_limit=reference_limit,
-                ),
+                fingerprint=self._monitor_fingerprint(source, **values),
                 resume=self._resume or resume_from is not None,
             )
-            self.journal = journal
         try:
-            monitor = StreamMonitor(
-                source,
-                capacity=capacity,
-                lateness=lateness,
-                engine=self.engine_config,
-                minimize=self.options.minimize,
-                repair=self.options.repair,
-                deadline_s=self.options.deadline,
-                max_pending=max_pending,
-                diagnose_every=diagnose_every,
-                reference_limit=reference_limit,
-                journal=journal,
-                telemetry=self.telemetry,
-            )
             monitor.run()
             return monitor
         finally:
-            if journal is not None:
-                journal.close()
+            if monitor.journal is not None:
+                monitor.journal.close()
 
     def _monitor_fingerprint(self, source, **knobs) -> Dict[str, object]:
         """Identity of one monitoring run (journal resume matching).
@@ -621,6 +638,8 @@ class Session:
         ``deadline_s`` follows the diagnose convention of staying out —
         resumed records are re-emitted verbatim either way.
         """
+        from .streaming.monitor import REFERENCE_LIMIT
+
         fingerprint: Dict[str, object] = {
             "kind": "monitor",
             "source": source.describe(),
@@ -631,6 +650,9 @@ class Session:
             },
         }
         fingerprint.update(knobs)
+        # Fixed since the knob went; still recorded so that journals
+        # written before then resume.
+        fingerprint["reference_limit"] = REFERENCE_LIMIT
         return fingerprint
 
     # -- resilience ----------------------------------------------------------
@@ -681,10 +703,10 @@ class Session:
             "options": {
                 "max_rounds": opts.max_rounds,
                 "enable_taint": opts.enable_taint,
-                # A constant since the knob went: kept so that journals
+                # Constants since the knobs went: kept so that journals
                 # written before then still resume.
                 "enable_repair": True,
-                "enable_inversion": opts.enable_inversion,
+                "enable_inversion": True,
                 "minimize": opts.minimize,
                 "repair": opts.repair,
                 "faults": None if plan is None else plan.describe(),

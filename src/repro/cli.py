@@ -33,87 +33,22 @@ import sys
 from typing import List, Optional
 
 from . import survey as survey_module
-from .api import Session
+from .api import Session, knob_default, knobs_for
 from .datalog.config import BACKENDS
-from .errors import FaultSpecError
+from .errors import FaultSpecError, ReproError
 from .observability import format_metrics
 from .scenarios import ALL_SCENARIOS
 
 __all__ = ["main", "build_parser"]
 
 
-def _scenario_argument(command) -> None:
-    # type=str.upper makes scenario names case-insensitive (sdn1 == SDN1).
-    command.add_argument(
-        "scenario", type=str.upper, choices=sorted(ALL_SCENARIOS)
-    )
-
-
-def _tuning_parent() -> argparse.ArgumentParser:
-    """The diagnosis knobs shared by every subcommand that runs DiffProv.
-
-    One parent parser keeps ``diagnose`` and ``autoref`` in lockstep: a
-    knob added here appears on both, with the same spelling and default
-    (they used to drift — ``autoref`` once lacked ``--max-rounds``,
-    ``--minimize`` and ``--faults`` entirely).
-    """
+def _scenario_parent() -> argparse.ArgumentParser:
+    """The ``SCENARIO`` positional and ``--param``, shared by every
+    subcommand that builds a scenario."""
     parent = argparse.ArgumentParser(add_help=False)
+    # type=str.upper makes scenario names case-insensitive (sdn1 == SDN1).
     parent.add_argument(
-        "--max-rounds", type=int, default=10, help="round limit (default 10)"
-    )
-    parent.add_argument(
-        "--no-taint",
-        action="store_true",
-        help="disable taint formulas (ablation; expect failure)",
-    )
-    parent.add_argument(
-        "--minimize",
-        action="store_true",
-        help="greedy minimality post-pass on the returned changes",
-    )
-    parent.add_argument(
-        "--repair",
-        action="store_true",
-        help="verify ranked rollback plans after a successful diagnosis "
-        "(docs/repair.md)",
-    )
-    parent.add_argument(
-        "--faults",
-        metavar="SPEC",
-        help="deterministic fault plan, e.g. "
-        "'loss=0.1,fetch-loss=0.15,seed=7' (see docs/faults.md)",
-    )
-    parent.add_argument(
-        "--engine",
-        choices=BACKENDS,
-        help="evaluation backend: compiled (the default fast path) or "
-        "reference (the linear-scan oracle the tests compare against); "
-        "reports are byte-identical (see docs/performance.md)",
-    )
-    parent.add_argument(
-        "--no-replay-cache",
-        action="store_true",
-        help="re-derive every candidate replay from scratch instead of "
-             "forking it off one live base (the paper's cost shape)",
-    )
-    parent.add_argument(
-        "--journal",
-        metavar="FILE",
-        help="write-ahead diagnosis journal; with --resume, verdicts "
-        "recorded by a previous (possibly killed) run are skipped "
-        "(see docs/resilience.md)",
-    )
-    parent.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from an existing --journal file",
-    )
-    parent.add_argument(
-        "--deadline-s",
-        type=float,
-        metavar="SECONDS",
-        help="end-to-end wall-clock budget; an expired diagnosis "
-        "degrades to a partial report instead of running on",
+        "scenario", type=str.upper, choices=sorted(ALL_SCENARIOS)
     )
     parent.add_argument(
         "--param",
@@ -124,6 +59,58 @@ def _tuning_parent() -> argparse.ArgumentParser:
         "bool ('true'/'false'), float, or str — e.g. --param flaps=50 "
         "--param probes_per_phase=3",
     )
+    return parent
+
+
+def _knob_type(knob):
+    """argparse ``type=`` for a typed knob flag: parse, then the row's
+    check, so a bad value is a usage error before any Session exists."""
+    parse = knob.flag["type"]
+
+    def convert(text):
+        value = parse(text)
+        try:
+            knob.check(value)
+        except ReproError as exc:
+            raise argparse.ArgumentTypeError(f"{exc} (got {text!r})")
+        return value
+
+    # argparse names the type in "invalid int value: 'x'".
+    convert.__name__ = parse.__name__
+    return convert
+
+
+def _knob_flags(parser, call: str) -> None:
+    """One flag per ``repro.api.KNOBS`` row that ``call`` takes and the
+    CLI spells: ``--max-rounds`` for ``max_rounds``, or ``--no-taint``
+    when the default is ``True``."""
+    for knob in knobs_for(call):
+        if knob.flag is None:
+            continue
+        default = knob_default(knob)
+        flag = "--" + knob.name.replace("_", "-")
+        extra = dict(knob.flag, help=knob.doc)
+        if default is True:
+            flag = "--no-" + flag[2:]
+            extra.update(action="store_false", help="disable: " + knob.doc)
+        elif default is False:
+            extra["action"] = "store_true"
+        elif default is not None:
+            extra["help"] += f" (default {default})"
+        if "type" in extra:
+            extra["type"] = _knob_type(knob)
+        parser.add_argument(flag, dest=knob.name, default=default, **extra)
+
+
+def _tuning_parent() -> argparse.ArgumentParser:
+    """The diagnosis knobs shared by every subcommand that runs DiffProv.
+
+    One parent parser keeps ``diagnose``, ``repair``, ``autoref`` and
+    ``monitor`` in lockstep: the Session rows of ``repro.api.KNOBS``
+    appear on all of them, with the same spelling and default.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    _knob_flags(parent, "Session")
     parent.add_argument(
         "--metrics",
         action="store_true",
@@ -146,60 +133,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON output")
     commands = parser.add_subparsers(dest="command", required=True)
-    tuning = _tuning_parent()
+    scenario = _scenario_parent()
+    tuning = [scenario, _tuning_parent()]
 
     commands.add_parser("scenarios", help="list built-in diagnostic scenarios")
 
-    diagnose = commands.add_parser(
-        "diagnose", help="run DiffProv on a scenario", parents=[tuning]
+    commands.add_parser(
+        "diagnose", help="run DiffProv on a scenario", parents=tuning
     )
-    _scenario_argument(diagnose)
 
-    repair_cmd = commands.add_parser(
+    commands.add_parser(
         "repair",
         help="diagnose, then plan and replay-verify ranked rollback "
         "fixes (docs/repair.md)",
-        parents=[tuning],
+        parents=tuning,
     )
-    _scenario_argument(repair_cmd)
 
     autoref = commands.add_parser(
         "autoref",
         help="diagnose without an operator-supplied reference",
-        parents=[tuning],
+        parents=tuning,
     )
-    _scenario_argument(autoref)
-    autoref.add_argument(
-        "--limit", type=int, default=10, help="candidates to try (default 10)"
-    )
+    _knob_flags(autoref, "autoref")
 
     monitor = commands.add_parser(
         "monitor",
         help="watch a scenario's event stream and diagnose detections "
         "online (docs/streaming.md)",
-        parents=[tuning],
+        parents=tuning,
     )
-    _scenario_argument(monitor)
-    monitor.add_argument(
-        "--capacity", type=int, default=24, metavar="EVENTS",
-        help="sliding-window size; older state is folded into a base "
-        "snapshot and expired probes are GC'd (default 24)",
-    )
-    monitor.add_argument(
-        "--lateness", type=int, default=8, metavar="EVENTS",
-        help="ingest reorder tolerance before a missing event becomes "
-        "a gap (default 8)",
-    )
-    monitor.add_argument(
-        "--max-pending", type=int, default=8, metavar="N",
-        help="detections awaiting diagnosis before the oldest is shed "
-        "(default 8)",
-    )
-    monitor.add_argument(
-        "--diagnose-every", type=int, default=1, metavar="N",
-        help="run pending diagnoses every Nth delivery (default 1 = "
-        "immediately)",
-    )
+    _knob_flags(monitor, "monitor")
     monitor.add_argument(
         "--stream", metavar="FILE",
         help="ingest this NDJSON stream file instead of tapping the "
@@ -216,8 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(byte-comparable across runs and resume)",
     )
 
-    tree = commands.add_parser("tree", help="print a provenance tree")
-    _scenario_argument(tree)
+    tree = commands.add_parser(
+        "tree", help="print a provenance tree", parents=[scenario]
+    )
     tree.add_argument("--side", choices=("good", "bad"), default="bad")
     tree.add_argument(
         "--view", choices=("tuple", "vertex"), default="tuple",
@@ -235,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     export = commands.add_parser(
-        "export", help="dump a scenario's provenance graph as JSON lines"
+        "export", help="dump a scenario's provenance graph as JSON lines",
+        parents=[scenario],
     )
-    _scenario_argument(export)
     export.add_argument("--out", required=True, help="output path (.jsonl)")
     export.add_argument(
         "--side", choices=("good", "bad"), default="bad",
@@ -366,7 +330,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _cmd_serve,
         "top": _cmd_top,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except FaultSpecError as exc:
+        # A malformed --faults or --param value: a usage error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _emit(args, data, text: str) -> int:
@@ -428,26 +397,20 @@ def _parse_params(pairs) -> dict:
     return params
 
 
-def _session(args, **extra) -> Session:
-    """A Session configured from the shared tuning flags."""
-    params = _parse_params(getattr(args, "param", []))
+def _session(args) -> Session:
+    """A Session configured from the scenario and tuning flags."""
+    knobs = {
+        knob.name: getattr(args, knob.name)
+        for knob in knobs_for("Session")
+        if hasattr(args, knob.name)
+    }
     return Session(
         scenario=args.scenario,
-        faults=getattr(args, "faults", None),
-        engine=getattr(args, "engine", None),
         telemetry=bool(
             getattr(args, "metrics", False) or getattr(args, "trace_out", None)
         ),
-        replay_cache=not getattr(args, "no_replay_cache", False),
-        max_rounds=getattr(args, "max_rounds", 10),
-        minimize=getattr(args, "minimize", False),
-        taint=not getattr(args, "no_taint", False),
-        journal=getattr(args, "journal", None),
-        resume=getattr(args, "resume", False),
-        deadline_s=getattr(args, "deadline_s", None),
-        repair=getattr(args, "repair", False),
-        scenario_params=params or None,
-        **extra,
+        scenario_params=_parse_params(args.param) or None,
+        **knobs,
     )
 
 
@@ -529,11 +492,7 @@ def _telemetry_output(args, session, data, extra_lines) -> None:
 
 
 def _cmd_diagnose(args) -> int:
-    try:
-        session = _session(args)
-    except FaultSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    session = _session(args)
     try:
         with _sigterm_unwinds():
             report = session.diagnose()
@@ -590,11 +549,7 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
-    try:
-        session = _session(args)
-    except FaultSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    session = _session(args)
     if args.dump_stream:
         from .streaming import ScenarioStreamSource, dump_events
 
@@ -610,11 +565,11 @@ def _cmd_monitor(args) -> int:
     try:
         with _sigterm_unwinds():
             monitor = session.monitor(
-                capacity=args.capacity,
-                lateness=args.lateness,
-                max_pending=args.max_pending,
-                diagnose_every=args.diagnose_every,
                 stream=args.stream,
+                **{
+                    knob.name: getattr(args, knob.name)
+                    for knob in knobs_for("monitor")
+                },
             )
     except KeyboardInterrupt:
         return _interrupted(args, session)
@@ -666,7 +621,7 @@ def _cmd_monitor(args) -> int:
 def _cmd_tree(args) -> int:
     from .provenance.viz import diff_to_dot, tree_to_dot
 
-    session = Session(scenario=args.scenario)
+    session = _session(args)
     tree = session.tree(side=args.side)
     if args.dot:
         if args.diff:
@@ -684,11 +639,7 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_autoref(args) -> int:
-    try:
-        session = _session(args)
-    except FaultSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    session = _session(args)
     try:
         with _sigterm_unwinds():
             result = session.autoref(limit=args.limit)
@@ -723,8 +674,7 @@ def _cmd_autoref(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    session = Session(scenario=args.scenario)
-    records = session.export(args.out, side=args.side)
+    records = _session(args).export(args.out, side=args.side)
     data = {"scenario": args.scenario, "out": args.out, "records": records}
     return _emit(args, data, f"wrote {records} records to {args.out}")
 

@@ -58,20 +58,22 @@ from .taint import TaintAnnotation
 __all__ = ["DiffProvOptions", "DiffProv"]
 
 
+# A base tuple filling an expected tuple's slot is a competitor to
+# remove with the insert; more than this many mean the slot is not
+# functional, and removing them would change unrelated behaviour.
+MAX_COMPETITORS = 3
+
+
 @dataclass(slots=True)
 class DiffProvOptions:
     """Tuning knobs; the defaults match the paper's prototype.
 
-    The disable flags exist for the ablation benchmarks: without taint
-    formulas DiffProv degenerates to a literal tree comparison, and
-    without inversion it must give up on rules whose fields are only
-    reachable through computations.
+    ``enable_taint`` exists for the ablation benchmarks: without taint
+    formulas DiffProv degenerates to a literal tree comparison.
     """
 
     max_rounds: int = 10
     enable_taint: bool = True
-    enable_inversion: bool = True
-    max_competitors: int = 3
     # Section 4.9 ("Minimality"): Δ(B→G) is not necessarily minimal
     # because DiffProv only follows the good tree's derivations.  With
     # minimize=True a greedy post-pass drops every change whose removal
@@ -762,9 +764,7 @@ class _DiagnosisState:
             candidate_env = dict(env)
             if match_atom(atom, candidate, candidate_env):
                 competitors.append(candidate)
-        if len(competitors) > self.options.max_competitors:
-            # Too many matches: the slot is not functional; removing
-            # them would change unrelated behaviour.
+        if len(competitors) > MAX_COMPETITORS:
             return ()
         immutable = [
             c for c in competitors if not replayed.engine.is_mutable(c)
@@ -820,9 +820,7 @@ class _DiagnosisState:
                 ok = False
             if ok:
                 continue
-            result = repair_condition(
-                condition, env, set(repairable), self.options.enable_inversion
-            )
+            result = repair_condition(condition, env, set(repairable))
             if result is None:
                 raise NonInvertibleError(
                     f"condition {condition} fails in the bad execution and "

@@ -80,7 +80,6 @@ def repair_condition(
     condition: Condition,
     env: Dict[str, object],
     repairable_vars: Iterable[str],
-    enable_inversion: bool = True,
 ) -> Optional[PyTuple[str, object]]:
     """Compute ``(variable, new_value)`` making ``condition`` hold.
 
@@ -97,7 +96,7 @@ def repair_condition(
         return _repair_call(call, env, repairable)
     if condition.op == "call" or condition.right is None:
         return None
-    return _repair_comparison(condition, env, repairable, enable_inversion)
+    return _repair_comparison(condition, env, repairable)
 
 
 def _as_boolean_call(condition: Condition) -> Optional[Call]:
@@ -137,7 +136,7 @@ def _repair_call(call: Call, env, repairable) -> Optional[PyTuple[str, object]]:
 
 
 def _repair_comparison(
-    condition: Condition, env, repairable, enable_inversion
+    condition: Condition, env, repairable
 ) -> Optional[PyTuple[str, object]]:
     for side, other in (
         (condition.left, condition.right),
@@ -149,11 +148,6 @@ def _repair_comparison(
         var = candidates[0]
         if other.variables() - env.keys():
             continue
-        if not enable_inversion:
-            raise NonInvertibleError(
-                f"inversion disabled; cannot repair {condition}",
-                attempted=(condition, env),
-            )
         target = Const(other.evaluate(env))
         solutions = invert(side, var, target)
         for solution in solutions:

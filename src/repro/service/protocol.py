@@ -174,12 +174,12 @@ def parse_request(payload) -> Request:
     if not isinstance(options, dict):
         raise ProtocolError("'options' must be an object")
     # The tuning knobs a request may forward to the worker's Session
-    # are repro.api.OPTION_CHECKS — names *and* value types.  A table,
-    # not a passthrough: a typo or a mistyped value ("false", "ten")
-    # fails loudly here, before it spends a quota token and a worker
-    # slot or silently changes the Δ, and a client can never reach
-    # knobs that break determinism or isolation (journal paths, worker
-    # counts).
+    # are the wire rows of repro.api.KNOBS — names *and* value types.
+    # A table, not a passthrough: a typo or a mistyped value ("false",
+    # "ten") fails loudly here, before it spends a quota token and a
+    # worker slot or silently changes the Δ, and a client can never
+    # reach knobs that break determinism or isolation (journal paths,
+    # worker counts).
     for name in sorted(options):
         try:
             check_option(name, options[name])

@@ -70,8 +70,7 @@ class DiagnosisServer:
     entry covers everyone else).  ``journal_dir`` holds the
     per-request write-ahead journals (a fresh temp dir by default);
     ``keep_journals`` leaves them on disk after success instead of
-    unlinking.  ``health_interval_s`` enables periodic liveness pings
-    of idle shards; ``drain_timeout_s`` bounds how long
+    unlinking.  ``drain_timeout_s`` bounds how long
     :meth:`drain` waits for in-flight work.  ``allow_test_hooks``
     gates the chaos-test ``test_hold`` request field — off by default
     so production clients cannot park a worker.
@@ -88,7 +87,6 @@ class DiagnosisServer:
         breaker_threshold: int = 3,
         breaker_reset_s: float = 5.0,
         max_attempts: int = 3,
-        health_interval_s: Optional[float] = None,
         drain_timeout_s: float = 60.0,
         default_deadline_s: Optional[float] = None,
         default_engine=None,
@@ -123,7 +121,6 @@ class DiagnosisServer:
             self.default_engine = EngineConfig.coerce(default_engine).to_dict()
         self.allow_test_hooks = bool(allow_test_hooks)
         self.drain_timeout_s = drain_timeout_s
-        self.health_interval_s = health_interval_s
         if journal_dir is None:
             self._journal_tmp = tempfile.TemporaryDirectory(
                 prefix="diffprov-service-"
@@ -164,7 +161,7 @@ class DiagnosisServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> "DiagnosisServer":
-        """Spawn the fleet and the dispatcher (and health) tasks."""
+        """Spawn the fleet and the dispatcher tasks."""
         if self.started:
             return self
         await asyncio.to_thread(self.fleet.start)
@@ -177,10 +174,6 @@ class DiagnosisServer:
             )
             for shard in self.fleet.shards
         ]
-        if self.health_interval_s is not None:
-            self._tasks.append(
-                asyncio.create_task(self._health_loop(), name="health")
-            )
         self.started = True
         return self
 
@@ -611,26 +604,6 @@ class DiagnosisServer:
             finally:
                 shard.busy = False
                 shard.current_request = None
-
-    # -- health --------------------------------------------------------------
-
-    async def _health_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.health_interval_s)
-            for shard in self.fleet.shards:
-                if shard.busy or not shard.breaker.allow():
-                    continue
-                lock = self._shard_locks[shard.index]
-                if lock.locked():
-                    continue
-                async with lock:
-                    try:
-                        await asyncio.to_thread(shard.ping, 10.0)
-                    except WorkerDied:
-                        # A silently dead idle worker: pay the restart
-                        # now so the next request doesn't.
-                        self.fleet.record_crash(shard)
-                        self.fleet.restart(shard)
 
     # -- introspection -------------------------------------------------------
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..api import check_knobs
 from ..core.autoref import propose_stream_references
 from ..core.diffprov import DiffProv, DiffProvOptions
 from ..errors import ReproError
@@ -62,6 +63,10 @@ class MonitorSummary:
         return f"MonitorSummary({self.to_dict()})"
 
 
+# Candidate references proposed per incident.
+REFERENCE_LIMIT = 5
+
+
 class StreamMonitor:
     """Watch one stream source; emit one record per detection.
 
@@ -69,7 +74,8 @@ class StreamMonitor:
     ingest reorder tolerance, ``max_pending`` bounds the queue of
     detections awaiting diagnosis (overflow sheds the oldest), and
     ``diagnose_every`` defers diagnosis to every Nth delivery — the
-    pacing knob that makes backpressure reachable in tests.
+    pacing knob that makes backpressure reachable in tests.  Each must
+    be an integer >= 1 (their rows in :data:`repro.api.KNOBS`).
     ``deadline_s`` is the per-incident diagnosis budget; an expired
     budget degrades that record rather than crashing the monitor.
     """
@@ -86,11 +92,11 @@ class StreamMonitor:
         deadline_s: Optional[float] = None,
         max_pending: int = 8,
         diagnose_every: int = 1,
-        reference_limit: int = 5,
         journal=None,
         telemetry=None,
         detector: Optional[QualityDetector] = None,
     ):
+        check_knobs("monitor", locals())
         self.source = source
         self.telemetry = telemetry
         self.journal = journal
@@ -99,9 +105,8 @@ class StreamMonitor:
         # records' embedded reports gain a "repair" section.
         self.repair = bool(repair)
         self.deadline_s = deadline_s
-        self.max_pending = int(max_pending)
-        self.diagnose_every = max(1, int(diagnose_every))
-        self.reference_limit = int(reference_limit)
+        self.max_pending = max_pending
+        self.diagnose_every = diagnose_every
         self.engine = engine
         self.ingestor = Ingestor(lateness=lateness, telemetry=telemetry)
         self.window = StreamWindow(
@@ -211,7 +216,7 @@ class StreamMonitor:
             if candidate_probe.ok:
                 healthy.append(observed_event(candidate_probe))
         candidates = propose_stream_references(
-            execution.graph, bad_event, healthy, limit=self.reference_limit
+            execution.graph, bad_event, healthy, limit=REFERENCE_LIMIT
         )
         if not candidates:
             record["degraded"] = "no-reference"

@@ -51,7 +51,7 @@ class TestConstruction:
     ])
     def test_mistyped_knobs_rejected_eagerly(self, knobs, fragment):
         # The same table the service protocol admits options through
-        # (repro.api.OPTION_CHECKS): no bare TypeError from inside the
+        # (repro.api.KNOBS): no bare TypeError from inside the
         # round loop, no bool("false").
         with pytest.raises(ReproError, match=fragment):
             Session(scenario="SDN1", **knobs)
@@ -195,3 +195,73 @@ class TestDeprecationShims:
         for name in ("DiffProv", "DiffProvOptions"):
             assert not hasattr(repro, name)
             assert name not in repro.__all__
+
+
+class TestMonitorKnobs:
+    @pytest.mark.parametrize("knobs,fragment", [
+        # Used to die with IndexError: pop from empty list.
+        ({"max_pending": 0}, "'max_pending' must be an integer >= 1"),
+        # Used to degrade every incident to no-reference.
+        ({"capacity": 0}, "'capacity' must be an integer >= 1"),
+        # Used to be clamped to 1, and "24" coerced through int().
+        ({"diagnose_every": 0}, "'diagnose_every' must be an integer >= 1"),
+        ({"capacity": "24"}, "'capacity' must be an integer >= 1"),
+        ({"lateness": -5}, "'lateness' must be an integer >= 1"),
+        ({"max_pending": True}, "'max_pending' must be an integer >= 1"),
+    ])
+    def test_mistyped_monitor_knobs_rejected(self, knobs, fragment, tmp_path):
+        journal = tmp_path / "monitor.journal"
+        with Session("FLAP-S", scenario_params={"flaps": 3},
+                     journal=str(journal)) as session:
+            with pytest.raises(ReproError, match=fragment):
+                session.monitor(**knobs)
+        # Rejected before the journal opens.
+        assert not journal.exists()
+
+    def test_stream_monitor_checks_its_own_knobs(self):
+        # The benchmark spine builds StreamMonitor directly.
+        from repro.streaming import ScenarioStreamSource, StreamMonitor
+
+        source = ScenarioStreamSource.for_name("FLAP-S", flaps=3)
+        with pytest.raises(ReproError, match="'max_pending' must be"):
+            StreamMonitor(source, max_pending=0)
+
+    def test_unknown_monitor_knob_is_a_type_error(self):
+        with Session("FLAP-S", scenario_params={"flaps": 3}) as session:
+            with pytest.raises(TypeError, match="reference_limit"):
+                session.monitor(reference_limit=5)
+
+
+class TestJournalFingerprints:
+    """The options a journal records are pinned: a journal written by an
+    earlier version resumes only while these stay byte-identical."""
+
+    OPTIONS = {
+        "max_rounds": 10, "enable_taint": True, "enable_repair": True,
+        "enable_inversion": True, "minimize": True, "repair": False,
+        "faults": "seed=3",
+    }
+
+    def test_diagnose_and_autoref_options(self):
+        with Session("SDN1", minimize=True, faults="seed=3") as session:
+            session.setup()
+            diagnose = session._journal_fingerprint("diagnose")
+            autoref = session._journal_fingerprint("autoref", limit=10)
+        assert diagnose["options"] == self.OPTIONS
+        assert autoref["options"] == self.OPTIONS
+        assert autoref["limit"] == 10
+
+    def test_monitor_fingerprint(self, tmp_path):
+        path = tmp_path / "monitor.journal"
+        with Session("FLAP-S", scenario_params={"flaps": 3},
+                     journal=str(path)) as session:
+            session.monitor()
+        header = json.loads(path.read_text().splitlines()[0].split(" ", 1)[1])
+        fingerprint = header["fingerprint"]
+        del fingerprint["stream_sha"]
+        assert fingerprint == {
+            "kind": "monitor", "source": "scenario:FLAP-S",
+            "options": {"minimize": False, "repair": False},
+            "capacity": 24, "lateness": 8, "max_pending": 8,
+            "diagnose_every": 1, "reference_limit": 5,
+        }

@@ -190,18 +190,22 @@ class TestInversionRepairPath:
         changes = {c.insert for c in report.changes}
         assert parse_tuple("knob('x', 10)") in changes
 
-    def test_inversion_disabled_fails_with_clue(self):
-        program = parse_program(self.PROGRAM)
+    def test_uninvertible_condition_fails_with_clue(self):
+        # hash_mod has no registered inverse: no knob value can be
+        # computed for the bad stim, so the diagnosis names the builtin.
+        program = parse_program(
+            self.PROGRAM.replace("X + 2", "hash_mod(X, 16)")
+        )
         execution = Execution(program, name="sys")
         execution.insert(parse_tuple("knob('x', 7)"))
-        execution.insert(parse_tuple("stim(1, 9)"))
-        execution.insert(parse_tuple("stim(2, 12)"))
-        options = DiffProvOptions(enable_inversion=False)
-        report = DiffProv(program, options).diagnose(
+        execution.insert(parse_tuple("stim(1, 2)"))  # hash_mod(7, 16) == 2
+        execution.insert(parse_tuple("stim(2, 3)"))
+        report = DiffProv(program).diagnose(
             execution, execution, parse_tuple("hit(1)"), parse_tuple("alt(2)")
         )
         assert not report.success
         assert report.failure_category == "non-invertible"
+        assert "hash_mod" in report.summary()
 
 
 class TestSelectorBlockers:

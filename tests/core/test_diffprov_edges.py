@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import DiffProv, DiffProvOptions
+from repro.core.diffprov import MAX_COMPETITORS
 from repro.datalog import parse_program, parse_tuple
 from repro.errors import ReproError
 from repro.replay import Execution
@@ -81,7 +82,9 @@ class TestOptions:
         bad.insert(parse_tuple("stim(2, 7)"))
         return program, good, bad
 
-    @pytest.mark.parametrize("knob", ["verify", "enable_repair"])
+    @pytest.mark.parametrize("knob", [
+        "verify", "enable_repair", "enable_inversion", "max_competitors",
+    ])
     def test_one_valued_knobs_are_gone(self, knob):
         with pytest.raises(TypeError, match=knob):
             DiffProvOptions(**{knob: True})
@@ -90,10 +93,13 @@ class TestOptions:
         with pytest.raises(AttributeError):
             DiffProvOptions().minimise = True
 
-    def test_max_competitors_zero_gives_insert_only(self):
+    def test_too_many_competitors_gives_insert_only(self):
+        # One more competing cfg('a', _) than MAX_COMPETITORS: the slot
+        # is not functional, so none of them is removed.
         program, good, bad = self.build_faulty()
-        options = DiffProvOptions(max_competitors=0)
-        report = DiffProv(program, options).diagnose(
+        for value in range(10, 10 + MAX_COMPETITORS):
+            bad.insert(parse_tuple(f"cfg('a', {value})"))
+        report = DiffProv(program).diagnose(
             good, bad, parse_tuple("out(1, 5)"), parse_tuple("fallback(2)")
         )
         assert report.success

@@ -78,12 +78,6 @@ class TestRepairCondition:
         env = {"Q": 10, "X": 3}
         assert repair_condition(condition, env, {"X"}) == ("X", 5)
 
-    def test_inversion_disabled_raises(self):
-        condition = _cond("Q", "==", "X + 2")
-        env = {"Q": 9, "X": 3}
-        with pytest.raises(NonInvertibleError):
-            repair_condition(condition, env, {"X"}, enable_inversion=False)
-
     def test_multi_preimage_repair_picks_valid_candidate(self):
         condition = _cond("sq(X)", "==", "Q")
         env = {"Q": 16, "X": 3}

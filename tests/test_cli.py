@@ -129,6 +129,51 @@ class TestScenarioParams:
         assert main(["diagnose", "FLAP", "--param", "flaps"]) == 2
         assert "--param wants KEY=VALUE" in capsys.readouterr().err
 
+    def test_tree_and_export_honour_param(self, capsys, tmp_path):
+        outputs = []
+        for flaps in (3, 6):
+            out = str(tmp_path / f"flap{flaps}.jsonl")
+            assert main(["tree", "FLAP", "--param", f"flaps={flaps}"]) == 0
+            assert main([
+                "--json", "export", "FLAP", "--param", f"flaps={flaps}",
+                "--out", out,
+            ]) == 0
+            tree, export = capsys.readouterr().out.split("\n{", 1)
+            outputs.append((tree, json.loads("{" + export)["records"]))
+        (tree3, records3), (tree6, records6) = outputs
+        # Twice the flaps: a later bad packet, a bigger graph.
+        assert tree3 != tree6
+        assert records3 < records6
+
+
+class TestKnobValues:
+    @pytest.mark.parametrize("argv,flag", [
+        (["diagnose", "SDN1", "--max-rounds", "0"], "--max-rounds"),
+        (["diagnose", "SDN1", "--deadline-s", "nan"], "--deadline-s"),
+        (["autoref", "SDN1", "--limit", "-1"], "--limit"),
+        (["monitor", "FLAP-S", "--lateness", "-5"], "--lateness"),
+        (["monitor", "FLAP-S", "--max-pending", "0"], "--max-pending"),
+        (["monitor", "FLAP-S", "--capacity", "0"], "--capacity"),
+    ])
+    def test_bad_value_is_a_usage_error(self, argv, flag, capsys):
+        # The knob's check runs at parse time: one "diffprov ...: error:"
+        # line and exit 2, never a ReproError traceback.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_defaults_come_from_the_signatures(self):
+        args = build_parser().parse_args(["monitor", "FLAP-S"])
+        assert (args.capacity, args.lateness, args.max_pending,
+                args.diagnose_every) == (24, 8, 8, 1)
+        args = build_parser().parse_args(["autoref", "DNS"])
+        assert (args.limit, args.max_rounds, args.taint,
+                args.replay_cache) == (10, 10, True, True)
+
 
 class TestMonitorCommand:
     def test_monitor_human_output(self, capsys):
