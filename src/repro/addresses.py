@@ -58,7 +58,8 @@ class IPv4Address:
         return hash(("IPv4Address", self._value))
 
     def __str__(self):
-        return ".".join(str(o) for o in self.octets())
+        v = self._value
+        return f"{v >> 24}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
 
     def __repr__(self):
         return f"IPv4Address('{self}')"
@@ -97,8 +98,9 @@ class Prefix:
         return self._length
 
     def contains(self, addr) -> bool:
-        addr = IPv4Address(addr)
-        return (addr.value & _mask(self._length)) == self._network.value
+        if not isinstance(addr, IPv4Address):
+            addr = IPv4Address(addr)
+        return (addr._value & _mask(self._length)) == self._network._value
 
     def overlaps(self, other: "Prefix") -> bool:
         shorter = self if self._length <= other._length else other
@@ -148,7 +150,10 @@ def ip(value) -> IPv4Address:
 
 
 def prefix(value, length: int | None = None) -> Prefix:
-    """Shorthand constructor: ``prefix('10.0.0.0/8')``."""
+    """Shorthand constructor: ``prefix('10.0.0.0/8')``.  A ``Prefix``
+    comes back as is: prefixes are immutable, so sharing one is free."""
+    if isinstance(value, Prefix) and length is None:
+        return value
     return Prefix(value, length)
 
 

@@ -19,18 +19,23 @@ from typing import Dict, List, Optional, Set, Tuple as PyTuple
 from ..errors import SchemaError
 from .tuples import TableSchema, Tuple
 
-__all__ = ["Derivation", "TupleRecord", "Store", "sort_key"]
+__all__ = ["Derivation", "TupleRecord", "Store", "order_key", "sort_key"]
+
+
+def order_key(tup: Tuple):
+    """A deterministic total order over tuples of mixed value types."""
+    return tuple((type(a).__name__, str(a)) for a in tup.args)
 
 
 def sort_key(tup: Tuple):
-    """A deterministic total order over tuples of mixed value types.
-
-    The key is cached on the tuple (tuples are immutable and usually
-    interned), because candidate lists are re-sorted on every join.
+    """:func:`order_key`, cached on the tuple (tuples are immutable and
+    usually interned), because candidate lists are re-sorted on every
+    join.  A one-off sort uses :func:`order_key`: a cached key costs
+    hundreds of bytes per tuple for as long as the tuple lives.
     """
     key = tup._sort_key
     if key is None:
-        key = tuple((type(a).__name__, str(a)) for a in tup.args)
+        key = order_key(tup)
         object.__setattr__(tup, "_sort_key", key)
     return key
 

@@ -90,8 +90,10 @@ class NetworkConfig:
 
     def clone(self) -> "NetworkConfig":
         copy = NetworkConfig(self.topology)
-        for switch in sorted(self.tables):
-            for entry in self.tables[switch].entries():
+        # Unsorted: best_match's argmax does not depend on table order,
+        # and entries() sorts on read.
+        for switch, table in self.tables.items():
+            for entry in table._iter_entries():
                 copy.install(entry)
         # group_tuples() sorts; iterating the raw set here would seed the
         # clone in hash order, which varies across processes.

@@ -2,19 +2,21 @@
 
 The declarative engine's argmax selector is fine for nine-switch
 scenarios, but the Section 6.7 network carries hundreds of thousands of
-forwarding entries; the emulator therefore keeps each switch's table in
-a binary trie over the destination prefix, so a lookup touches only the
-entries on the address's trie path.  Semantics are identical to the
-declarative model: highest priority wins, ties broken by combined
-prefix specificity, then by a stable tuple order.
+forwarding entries; the emulator therefore indexes each switch's table
+by destination prefix, one hash map per prefix length, so a lookup
+probes only the lengths in use instead of scanning every entry.
+Semantics are identical to the declarative model: highest priority
+wins, ties broken by combined prefix specificity, then by a stable
+tuple order.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Set
+from bisect import insort
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..addresses import IPv4Address, Prefix
-from ..datalog.state import sort_key
+from ..datalog.state import order_key, sort_key
 from ..datalog.tuples import Tuple
 from ..errors import ReproError
 from . import model
@@ -22,67 +24,48 @@ from . import model
 __all__ = ["FlowTable", "PrefixTrie"]
 
 
-class _TrieNode:
-    __slots__ = ("zero", "one", "values")
-
-    def __init__(self):
-        self.zero: Optional[_TrieNode] = None
-        self.one: Optional[_TrieNode] = None
-        self.values: List[object] = []
-
-
 class PrefixTrie:
-    """A binary trie mapping prefixes to values."""
+    """Prefixes mapped to values: per prefix length, one map from the
+    network's leading ``length`` bits to its values, in insertion order."""
 
     def __init__(self):
-        self._root = _TrieNode()
+        self._maps: Dict[int, Dict[int, List[object]]] = {}
+        self._lengths: List[int] = []  # lengths in use, ascending
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
     def insert(self, pfx: Prefix, value) -> None:
-        node = self._walk(pfx, create=True)
-        node.values.append(value)
+        networks = self._maps.get(pfx.length)
+        if networks is None:
+            networks = self._maps[pfx.length] = {}
+            insort(self._lengths, pfx.length)
+        bits = pfx.network.value >> (32 - pfx.length)
+        networks.setdefault(bits, []).append(value)
         self._size += 1
 
     def remove(self, pfx: Prefix, value) -> bool:
-        node = self._walk(pfx, create=False)
-        if node is None or value not in node.values:
+        networks = self._maps.get(pfx.length, {})
+        bits = pfx.network.value >> (32 - pfx.length)
+        values = networks.get(bits, ())
+        if value not in values:
             return False
-        node.values.remove(value)
+        values.remove(value)
+        if not values:
+            del networks[bits]
+            if not networks:
+                del self._maps[pfx.length]
+                self._lengths.remove(pfx.length)
         self._size -= 1
         return True
 
     def covering(self, addr: IPv4Address) -> Iterator[object]:
-        """All values whose prefix contains the address (root first)."""
-        node = self._root
+        """All values whose prefix contains the address, shorter
+        prefixes first (a root-to-leaf walk's order)."""
         bits = addr.value
-        depth = 0
-        while node is not None:
-            yield from node.values
-            if depth == 32:
-                return
-            bit = (bits >> (31 - depth)) & 1
-            node = node.one if bit else node.zero
-            depth += 1
-
-    def _walk(self, pfx: Prefix, create: bool) -> Optional[_TrieNode]:
-        node = self._root
-        bits = pfx.network.value
-        for depth in range(pfx.length):
-            bit = (bits >> (31 - depth)) & 1
-            child = node.one if bit else node.zero
-            if child is None:
-                if not create:
-                    return None
-                child = _TrieNode()
-                if bit:
-                    node.one = child
-                else:
-                    node.zero = child
-            node = child
-        return node
+        for length in self._lengths:
+            yield from self._maps[length].get(bits >> (32 - length), ())
 
 
 class FlowTable:
@@ -144,7 +127,7 @@ class FlowTable:
                     yield entry
 
     def entries(self) -> List[Tuple]:
-        return sorted(self._iter_entries(), key=sort_key)
+        return sorted(self._iter_entries(), key=order_key)
 
     def delta(self, other: "FlowTable") -> Set[Tuple]:
         """Entries installed in exactly one of the two tables.

@@ -19,7 +19,7 @@ Packets move along ``link`` tuples and are delivered to hosts via
 
 from __future__ import annotations
 
-from ..addresses import IPv4Address, Prefix
+from ..addresses import IPv4Address, prefix
 from ..datalog.parser import parse_program
 from ..datalog.rules import Program
 from ..datalog.tuples import Tuple
@@ -92,7 +92,7 @@ def flow_entry(switch: str, priority: int, src_pfx, dst_pfx, action: int) -> Tup
     """An OpenFlow rule: match on src/dst prefixes, emit an action."""
     return Tuple(
         "flowEntry",
-        [switch, priority, Prefix(src_pfx), Prefix(dst_pfx), action],
+        [switch, priority, prefix(src_pfx), prefix(dst_pfx), action],
     )
 
 

@@ -15,6 +15,14 @@ from repro.sdn.emulation import _ConfigStoreView
 from repro.sdn.flowtable import FlowTable
 
 SMALL = dict(background_packets=60, entries_per_router=120, acl_rules=48)
+# The SMALL build's event log.  Its order (``order_key``) and its size
+# model (``estimate_size``, ``IPv4Address.__str__``) are part of every
+# replay-cache key and report; a drift in either shows up here first.
+SMALL_LOG_FINGERPRINT = (
+    "2714a7023f3e12a1c95da56f0769ae7356a93b951027cfe3c6adc10b14c5eef6"
+)
+SMALL_LOG_LENGTH = 2362
+SMALL_LOG_BYTES = 119014
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +56,34 @@ class TestTopologyGeneration:
         switches = {fault.args[0] for fault in faults[1:]}
         assert switches & {"oz1", "bb1", "oz2"}
         assert switches - {"oz1", "bb1", "oz2"}
+
+
+def test_the_log_is_pinned(scenario):
+    log = scenario.good_execution.log
+    assert log.fingerprint() == SMALL_LOG_FINGERPRINT
+    assert len(log) == SMALL_LOG_LENGTH
+    assert log.total_bytes == SMALL_LOG_BYTES
+
+
+class TestSortKeysStayUncached:
+    """Sorting the flow tables once for the log caches no key on them.
+
+    A cached ``sort_key`` is five ``(type name, str)`` pairs per entry,
+    kept for the entry's lifetime: at 449k entries it was half the
+    build's peak memory.  Only the entries a search ranks keep one.
+    """
+
+    def test_setup_caches_no_sort_key(self):
+        built = StanfordForwardingError(**SMALL).setup()
+        entries = built.config.flow_entries()
+        assert [e for e in entries if e._sort_key is not None] == []
+
+    def test_compiled_diagnosis_keys_only_what_it_touched(self):
+        built = StanfordForwardingError(**SMALL).setup()
+        assert built.diagnose().success
+        entries = built.config.flow_entries()
+        keyed = [e for e in entries if e._sort_key is not None]
+        assert 0 < len(keyed) < 0.05 * len(entries)
 
 
 class TestDiagnosis:

@@ -1,6 +1,6 @@
 """Property-based tests for addresses, prefixes, and prefix widening."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.addresses import IPv4Address, Prefix
 from repro.core.repair import widen_prefix
@@ -16,6 +16,16 @@ class TestAddressProperties:
     @given(addresses)
     def test_string_roundtrip(self, addr):
         assert IPv4Address(str(addr)) == addr
+
+    @given(addresses)
+    @example(IPv4Address(0))
+    @example(IPv4Address(0x09090909))
+    @example(IPv4Address(0x0A0A0A0A))
+    @example(IPv4Address(0x63636363))
+    @example(IPv4Address(0x64646464))
+    @example(IPv4Address(0xFFFFFFFF))
+    def test_string_is_the_dotted_octets(self, addr):
+        assert str(addr) == ".".join(str(octet) for octet in addr.octets())
 
     @given(addresses)
     def test_octets_recompose(self, addr):

@@ -1,6 +1,7 @@
 """Tests for the prefix trie and the emulator flow tables."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.addresses import IPv4Address, Prefix
 from repro.errors import ReproError
@@ -41,6 +42,58 @@ class TestPrefixTrie:
         trie.insert(Prefix("10.0.0.0/8"), "a")
         trie.insert(Prefix("10.0.0.0/8"), "b")
         assert len(trie) == 2
+
+
+# Nested and sibling prefixes of every shape: the default route, two
+# lengths sharing a network, siblings, and a host route.
+TRIE_PREFIXES = [Prefix(p) for p in (
+    "0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/16", "10.1.0.0/16",
+    "10.1.2.0/24", "10.1.2.128/25", "10.1.2.3/32", "11.0.0.0/8",
+)]
+TRIE_ADDRESSES = [IPv4Address(a) for a in (
+    "10.1.2.3", "10.1.2.200", "10.0.9.9", "11.1.1.1", "12.0.0.0",
+)]
+# (insert?, prefix, value) steps; a small value pool makes removes hit
+# and re-inserts of one (prefix, value) pair common.
+trie_steps = st.lists(
+    st.tuples(st.booleans(), st.sampled_from(TRIE_PREFIXES),
+              st.sampled_from("abc")),
+    max_size=30,
+)
+
+
+class TestPrefixTrieProperties:
+    @given(trie_steps)
+    def test_covering_matches_brute_force(self, steps):
+        trie, kept = PrefixTrie(), []  # kept: (prefix, value), in order
+        for insert, pfx, value in steps:
+            if insert:
+                trie.insert(pfx, value)
+                kept.append((pfx, value))
+            else:
+                removed = (pfx, value) in kept
+                assert trie.remove(pfx, value) == removed
+                if removed:
+                    kept.remove((pfx, value))
+        assert len(trie) == len(kept)
+        for addr in TRIE_ADDRESSES:
+            # Shorter prefixes first; a stable sort keeps insertion
+            # order within one prefix.
+            expected = [value for pfx, value in
+                        sorted(kept, key=lambda pair: pair[0].length)
+                        if pfx.contains(addr)]
+            assert list(trie.covering(addr)) == expected
+
+    @given(trie_steps)
+    def test_emptied_trie_probes_no_length(self, steps):
+        trie = PrefixTrie()
+        for _, pfx, value in steps:
+            trie.insert(pfx, value)
+        for _, pfx, value in steps:
+            trie.remove(pfx, value)
+        assert len(trie) == 0
+        assert trie._lengths == []  # covering() loops over these
+        assert list(trie.covering(TRIE_ADDRESSES[0])) == []
 
 
 class TestFlowTable:
