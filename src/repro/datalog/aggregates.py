@@ -15,6 +15,7 @@ from typing import Dict, Iterator, List, Optional, Tuple as PyTuple
 from ..errors import EvaluationError
 from .expr import Const, Expr, Var
 from .rules import AggSpec, Atom, Program, Rule
+from .state import flat_key
 from .tuples import Tuple
 
 __all__ = ["evaluate_aggregates"]
@@ -47,7 +48,7 @@ def evaluate_aggregates(
                     )
             group["contributions"].append(values)
             group["body"].extend(body)
-        for key in sorted(groups, key=_group_sort_key):
+        for key in sorted(groups, key=flat_key):
             group = groups[key]
             head = _finalize(rule, key, group["contributions"])
             body = _dedupe(group["body"])
@@ -149,7 +150,3 @@ def _dedupe(tuples: List[Tuple]) -> PyTuple:
             seen.add(tup)
             result.append(tup)
     return tuple(result)
-
-
-def _group_sort_key(key: tuple):
-    return tuple((type(v).__name__, str(v)) for v in key)

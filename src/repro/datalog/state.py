@@ -19,19 +19,54 @@ from typing import Dict, List, Optional, Set, Tuple as PyTuple
 from ..errors import SchemaError
 from .tuples import TableSchema, Tuple
 
-__all__ = ["Derivation", "TupleRecord", "Store", "order_key", "sort_key"]
+__all__ = [
+    "Derivation",
+    "TupleRecord",
+    "Store",
+    "flat_key",
+    "order_key",
+    "sort_key",
+]
 
 
-def order_key(tup: Tuple):
-    """A deterministic total order over tuples of mixed value types."""
-    return tuple((type(a).__name__, str(a)) for a in tup.args)
+# Inside one piece of a flat key: NUL -> \x01\x01 and \x01 -> \x01\x02.
+# The escapes sort in the characters' own order and contain no NUL, so
+# NUL, which then sorts below every character of a piece, can separate
+# the pieces without reordering anything.
+_ESCAPES = str.maketrans({"\x00": "\x01\x01", "\x01": "\x01\x02"})
 
 
-def sort_key(tup: Tuple):
+def flat_key(values, texts=None) -> str:
+    """A deterministic total order over sequences of mixed value types.
+
+    One string: each value's type name and ``str()``, escaped and
+    joined with NUL.  Comparing two keys gives the order of the nested
+    ``((type name, str), ...)`` tuples it flattens, and equal keys mean
+    equal nested tuples, so every sort compares one string instead of
+    walking pairs of pairs.  ``texts``, if given, are the values'
+    ``str()`` already computed.
+    """
+    pieces = []
+    for value, text in zip(values, texts or map(str, values)):
+        pieces.append(type(value).__name__)
+        pieces.append(text)
+    key = "\x00".join(pieces)
+    if "\x01" in key or key.count("\x00") != len(pieces) - 1:
+        key = "\x00".join([piece.translate(_ESCAPES) for piece in pieces])
+    return key
+
+
+def order_key(tup: Tuple) -> str:
+    """The deterministic order of tuples: :func:`flat_key` of the args."""
+    return flat_key(tup.args)
+
+
+def sort_key(tup: Tuple) -> str:
     """:func:`order_key`, cached on the tuple (tuples are immutable and
     usually interned), because candidate lists are re-sorted on every
-    join.  A one-off sort uses :func:`order_key`: a cached key costs
-    hundreds of bytes per tuple for as long as the tuple lives.
+    join.  A one-off sort uses :func:`order_key`: a cached key is a
+    string about as long as the tuple's text, kept for as long as the
+    tuple lives.
     """
     key = tup._sort_key
     if key is None:

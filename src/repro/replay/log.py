@@ -14,7 +14,7 @@ their payload.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..datalog.parser import parse_tuple
 from ..datalog.tuples import Tuple
@@ -55,11 +55,18 @@ class LogEntry:
         return f"LogEntry({self.op}, {self.tuple}, size={self.size})"
 
 
-def estimate_size(tup: Optional[Tuple]) -> int:
-    """Bytes needed to log a tuple (metadata-style accounting)."""
+def estimate_size(
+    tup: Optional[Tuple], texts: Optional[Sequence[str]] = None
+) -> int:
+    """Bytes needed to log a tuple (metadata-style accounting).
+
+    ``texts``, if given, are the arguments' ``str()`` already computed.
+    """
     if tup is None:
         return 1
-    return len(tup.table) + sum(len(str(arg)) + 1 for arg in tup.args) + 9
+    if texts is None:
+        texts = [str(arg) for arg in tup.args]
+    return len(tup.table) + sum(map(len, texts)) + len(texts) + 9
 
 
 class EventLog:

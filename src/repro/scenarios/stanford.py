@@ -22,8 +22,10 @@ aggregate route with H2's subnet.
 
 from __future__ import annotations
 
+import gc
 import random
-from typing import List, Sequence, Tuple as PyTuple
+from contextlib import contextmanager
+from typing import Iterator, List, Sequence, Tuple as PyTuple
 
 from ..addresses import IPv4Address, Prefix
 from ..sdn import model
@@ -35,7 +37,8 @@ from .base import Scenario
 __all__ = [
     "StanfordForwardingError",
     "build_stanford_config",
-    "stream_noise_entries",
+    "collector_paused",
+    "install_noise_entries",
 ]
 
 ANY = Prefix("0.0.0.0/0")
@@ -74,22 +77,22 @@ def zone_prefix(index: int) -> Prefix:
     return Prefix(f"10.{index}.0.0/16")
 
 
-def stream_noise_entries(
+def install_noise_entries(
     rng: random.Random,
     switch: str,
     ports: Sequence[int],
     count: int,
     table,
-):
-    """Yield ``count`` collision-free noise routes for one router.
+) -> None:
+    """Install ``count`` collision-free noise routes into one router's
+    flow table.
 
-    Generated entries are yielded one at a time and installed by the
-    caller as they arrive, so full-scale builds (47k entries x 16
-    routers) never hold a per-router entry list — build memory stays
-    flat at one in-flight entry.  Collisions are rejected against the
-    flow table's O(1) membership, re-rolling the rng; the rng
-    trajectory is therefore a function of (seed, count) alone and the
-    generated configuration is stable across refactors.
+    Each entry goes into the table as it is generated, so full-scale
+    builds (47k entries x 16 routers) never hold a per-router entry
+    list.  A collision is what the table's install rejects, and it
+    re-rolls the rng; the rng trajectory is therefore a function of
+    (seed, count) alone and the generated configuration is stable
+    across refactors.
     """
     installed = 0
     while installed < count:
@@ -106,9 +109,8 @@ def stream_noise_entries(
             pfx,
             rng.choice(ports),
         )
-        if entry not in table:
+        if table.install(entry):
             installed += 1
-            yield entry
 
 
 def build_stanford_config(
@@ -167,18 +169,17 @@ def build_stanford_config(
     # refine the zone aggregates without touching the special
     # 172.16.0.0/12 space.  The prefix space is wide enough that even
     # the full-scale 47k-entries-per-router configuration stays
-    # collision-free.  Entries stream straight from the generator into
-    # the flow tables — no intermediate per-router lists.
+    # collision-free.  Entries go straight from the rng into the flow
+    # tables — no intermediate per-router lists.
     for switch in topo.switches():
         ports = sorted(
             topo.port(switch, n)
             for n in topo.neighbors(switch)
             if topo.is_switch(n)
         )
-        for entry in stream_noise_entries(
+        install_noise_entries(
             rng, switch, ports, entries_per_router, config.tables[switch]
-        ):
-            config.install(entry)
+        )
 
     # ACLs: high-priority drops for external scanner ranges.
     switches = topo.switches()
@@ -245,6 +246,27 @@ def background_schedule(
     return schedule
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run a bulk build with the cyclic garbage collector off.
+
+    The build allocates millions of objects that live as long as the
+    configuration, and each generation-2 pass over the growing heap
+    walks all of them again to free almost nothing.  On exit the
+    caller's collector state comes back, on an exception too, and one
+    full collection runs: without it the passes deferred here land on
+    whatever allocates next, which is the first diagnosis.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+        gc.collect()
+
+
 class StanfordForwardingError(Scenario):
     name = "Stanford-6.7"
     description = (
@@ -253,6 +275,11 @@ class StanfordForwardingError(Scenario):
     )
 
     def build(self) -> None:
+        # The configuration and its event log are one bulk build.
+        with collector_paused():
+            self._build()
+
+    def _build(self) -> None:
         entries = self.params.get(
             "entries_per_router",
             FULL_SCALE_ENTRIES_PER_ROUTER

@@ -653,8 +653,13 @@ class EmulatedNetworkExecution:
         log = EventLog()
         for tup in self.base_config.topology.wiring_tuples():
             log.append("insert", tup, mutable=False)
-        for tup in self.base_config.iter_flow_entries():
-            log.append("insert", tup, mutable=True)
+        # Streamed table by table: at full scale the combined entry
+        # list would be 757k long, while one switch's sorted view stays
+        # a transient buffer.
+        tables = self.base_config.tables
+        for switch in sorted(tables):
+            for tup, size in tables[switch].sized_entries():
+                log.append("insert", tup, mutable=True, size=size)
         for tup in self.base_config.group_tuples():
             log.append("insert", tup, mutable=True)
         for switch, pkt, src, dst in self.schedule:

@@ -13,12 +13,13 @@ tuple order.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple as PyTuple
 
 from ..addresses import IPv4Address, Prefix
-from ..datalog.state import order_key, sort_key
+from ..datalog.state import flat_key, order_key, sort_key
 from ..datalog.tuples import Tuple
 from ..errors import ReproError
+from ..replay.log import estimate_size
 from . import model
 
 __all__ = ["FlowTable", "PrefixTrie"]
@@ -129,6 +130,22 @@ class FlowTable:
     def entries(self) -> List[Tuple]:
         return sorted(self._iter_entries(), key=order_key)
 
+    def sized_entries(self) -> Iterator[PyTuple[Tuple, int]]:
+        """:meth:`entries`, each with its log size (``estimate_size``).
+
+        Both come from the arguments' ``str()``, which is most of the
+        cost of either: computed once, the strings serve both.
+        """
+        sizes = {}
+
+        def key(entry):
+            texts = [str(arg) for arg in entry.args]
+            sizes[entry] = estimate_size(entry, texts)
+            return flat_key(entry.args, texts)
+
+        for entry in sorted(self._iter_entries(), key=key):
+            yield entry, sizes.pop(entry)
+
     def delta(self, other: "FlowTable") -> Set[Tuple]:
         """Entries installed in exactly one of the two tables.
 
@@ -142,8 +159,9 @@ class FlowTable:
             )
         return set(self._iter_entries()) ^ set(other._iter_entries())
 
-    def install(self, entry: Tuple) -> None:
-        """Install a ``flowEntry`` tuple (as built by repro.sdn.model)."""
+    def install(self, entry: Tuple) -> bool:
+        """Install a ``flowEntry`` tuple (as built by repro.sdn.model);
+        False if the table already holds it."""
         if entry.table != "flowEntry" or entry.arity != 5:
             raise ReproError(f"not a flow entry: {entry}")
         if entry.args[0] != self.switch:
@@ -152,14 +170,15 @@ class FlowTable:
                 f"not {self.switch!r}"
             )
         if entry in self:
-            return
+            return False
         self._match_cache.clear()
         if entry in self._removed:
             # Reinstalling a masked parent entry just unmasks it.
             self._removed.discard(entry)
-            return
+            return True
         self._entries.add(entry)
         self._trie.insert(entry.args[3], entry)
+        return True
 
     def uninstall(self, entry: Tuple) -> bool:
         if entry in self._entries:

@@ -1,23 +1,29 @@
 """Integration test: the Section 6.7 complex-network scenario."""
 
+import gc
+
 import pytest
 
 from repro.addresses import Prefix
 from repro.api import Session
 from repro.core.diffprov import _DiagnosisState
 from repro.datalog import BACKENDS
+from repro.scenarios import stanford
 from repro.scenarios.stanford import (
     StanfordForwardingError,
     build_stanford_config,
+    collector_paused,
     stanford_topology,
 )
 from repro.sdn.emulation import _ConfigStoreView
 from repro.sdn.flowtable import FlowTable
 
 SMALL = dict(background_packets=60, entries_per_router=120, acl_rules=48)
-# The SMALL build's event log.  Its order (``order_key``) and its size
-# model (``estimate_size``, ``IPv4Address.__str__``) are part of every
-# replay-cache key and report; a drift in either shows up here first.
+# The SMALL build's event log.  Its order (``order_key``, one flat
+# string that must sort exactly as the nested ``(type name, str)``
+# pairs it replaced) and its size model (``estimate_size``,
+# ``IPv4Address.__str__``) are part of every replay-cache key and
+# report; a drift in either shows up here first.
 SMALL_LOG_FINGERPRINT = (
     "2714a7023f3e12a1c95da56f0769ae7356a93b951027cfe3c6adc10b14c5eef6"
 )
@@ -68,9 +74,10 @@ def test_the_log_is_pinned(scenario):
 class TestSortKeysStayUncached:
     """Sorting the flow tables once for the log caches no key on them.
 
-    A cached ``sort_key`` is five ``(type name, str)`` pairs per entry,
-    kept for the entry's lifetime: at 449k entries it was half the
-    build's peak memory.  Only the entries a search ranks keep one.
+    A cached ``sort_key`` is a string as long as the entry's text, kept
+    for the entry's lifetime; at 449k entries the nested key it
+    replaced was half the build's peak memory.  Only the entries a
+    search ranks keep one.
     """
 
     def test_setup_caches_no_sort_key(self):
@@ -84,6 +91,58 @@ class TestSortKeysStayUncached:
         entries = built.config.flow_entries()
         keyed = [e for e in entries if e._sort_key is not None]
         assert 0 < len(keyed) < 0.05 * len(entries)
+
+
+class TestCollectorPause:
+    """The bulk build runs with the cyclic collector off, then puts the
+    caller's collector back and collects once."""
+
+    def test_restores_a_disabled_collector(self):
+        gc.disable()
+        try:
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_restores_the_collector_when_the_build_raises(self, monkeypatch):
+        def broken(**params):
+            assert not gc.isenabled()
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(stanford, "build_stanford_config", broken)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="build failed"):
+            StanfordForwardingError(**SMALL).setup()
+        assert gc.isenabled()
+
+    def test_setup_leaves_the_collector_as_found(self):
+        threshold = gc.get_threshold()
+        gc.set_threshold(500, 7, 9)
+        try:
+            StanfordForwardingError(**SMALL).setup()
+            assert gc.isenabled()
+            assert gc.get_threshold() == (500, 7, 9)
+        finally:
+            gc.set_threshold(*threshold)
+
+    def test_setup_runs_one_full_collection_and_no_other(self):
+        # No pass of any generation inside the pause; the closing
+        # collect is the one full collection.
+        generations = []
+
+        def record(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.collect()  # nothing pending before the build starts
+        gc.callbacks.append(record)
+        try:
+            StanfordForwardingError(**SMALL).setup()
+        finally:
+            gc.callbacks.remove(record)
+        assert generations == [2]
 
 
 class TestDiagnosis:

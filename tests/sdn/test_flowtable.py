@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.addresses import IPv4Address, Prefix
 from repro.errors import ReproError
+from repro.replay.log import estimate_size
 from repro.sdn import model
 from repro.sdn.flowtable import FlowTable, PrefixTrie
 
@@ -110,9 +111,21 @@ class TestFlowTable:
     def test_install_is_idempotent(self):
         table = FlowTable("s1")
         entry = self.entry(5, "0.0.0.0/0", "10.0.0.0/8", 3)
-        table.install(entry)
-        table.install(entry)
+        assert table.install(entry) is True
+        assert table.install(entry) is False
         assert len(table) == 1
+
+    def test_sized_entries_are_the_sorted_entries_with_their_log_size(self):
+        table = FlowTable("s1")
+        for prio, dst, action in [
+            (5, "10.0.0.0/8", 3),
+            (12, "10.0.0.0/16", "drop"),
+            (5, "9.0.0.0/8", 1),
+        ]:
+            table.install(self.entry(prio, "0.0.0.0/0", dst, action))
+        assert list(table.sized_entries()) == [
+            (entry, estimate_size(entry)) for entry in table.entries()
+        ]
 
     def test_wrong_switch_rejected(self):
         table = FlowTable("s1")
