@@ -157,13 +157,22 @@ class Execution:
         return self.materialize().graph
 
     def materialize(self) -> ReplayResult:
-        """Reconstruct the *persisted* provenance by replay (cached).
+        """The *persisted* provenance (cached until the log grows).
 
         Under a fault plan with logging loss, this is the graph the
         production recorder managed to persist: the plan's prov-loss
         stream applies, so vertexes may be missing (the recorder's
         ``lost_events`` counts them).  Diagnostic replays made through
         :meth:`replay` are lossless — see there.
+
+        Query-time mode reconstructs it by replaying the log from
+        scratch.  Runtime mode already holds it: the result is the live
+        engine and the recorder attached to it, with no second pass.
+        Under a fault plan the two agree, because the live engine and
+        recorder consumed the same ``engine`` and ``prov-loss``
+        injector streams a replay would rebuild.  The result is a view
+        of the live system, so feeding this execution another event
+        moves it too.
         """
         if not self.logging_enabled:
             raise ReproError(
@@ -171,7 +180,12 @@ class Execution:
                 f"provenance cannot be reconstructed"
             )
         if self._materialized is None:
-            self._materialized = self._replay(lossless=False)
+            if self._runtime_recorder is not None:
+                self._materialized = ReplayResult(
+                    self.engine, self._runtime_recorder
+                )
+            else:
+                self._materialized = self._replay(lossless=False)
         return self._materialized
 
     def replay(

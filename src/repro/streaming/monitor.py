@@ -29,11 +29,14 @@ Records carry no wall-clock content; determinism is the contract.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from ..api import check_knobs
 from ..core.autoref import propose_stream_references
 from ..core.diffprov import DiffProv, DiffProvOptions
+from ..datalog.config import EngineConfig
 from ..errors import ReproError
 from ..resilience.deadline import Deadline
 from .detect import QualityDetector, quality_score
@@ -67,6 +70,31 @@ class MonitorSummary:
 REFERENCE_LIMIT = 5
 
 
+@contextmanager
+def _heap_frozen():
+    """Keep the cyclic collector off everything alive at entry.
+
+    The scenario, the stream and the caller's own state outlive every
+    incident, yet each generation-2 collection would walk them all
+    again.  ``gc.freeze()`` moves them to the permanent generation for
+    the run and ``gc.unfreeze()`` hands them back on exit, an exception
+    included.  There is no collection on entry (a full pass costs as
+    much as a few incidents): garbage already present is reclaimed by
+    the first full collection after the run.  Objects the run creates
+    are never frozen, so each incident's garbage is collected as
+    before.  A caller that froze objects itself keeps its freeze, and
+    the collector is left alone.
+    """
+    if gc.get_freeze_count():
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 class StreamMonitor:
     """Watch one stream source; emit one record per detection.
 
@@ -97,6 +125,14 @@ class StreamMonitor:
         detector: Optional[QualityDetector] = None,
     ):
         check_knobs("monitor", locals())
+        # Coerced here so a bad backend name fails before a journal
+        # opens, not in the first diagnosis.
+        try:
+            engine = EngineConfig.coerce(engine)
+        except ValueError as exc:
+            raise ReproError(
+                f"option 'engine' {exc} (got {engine!r})"
+            ) from exc
         self.source = source
         self.telemetry = telemetry
         self.journal = journal
@@ -133,17 +169,21 @@ class StreamMonitor:
         window's right edge depend on transport batching — breaking
         the guarantee that a stream reordered within the lateness
         bound diagnoses byte-identically to the in-order stream.
+
+        The loop runs with the heap that existed at entry frozen (see
+        :func:`_heap_frozen`).
         """
-        for line in self.source.lines():
-            for delivery in self.ingestor.push_line(line):
+        with _heap_frozen():
+            for line in self.source.lines():
+                for delivery in self.ingestor.push_line(line):
+                    self._deliver(delivery)
+                    if self._deliveries % self.diagnose_every == 0:
+                        self._drain_pending()
+            for delivery in self.ingestor.flush():
                 self._deliver(delivery)
                 if self._deliveries % self.diagnose_every == 0:
                     self._drain_pending()
-        for delivery in self.ingestor.flush():
-            self._deliver(delivery)
-            if self._deliveries % self.diagnose_every == 0:
-                self._drain_pending()
-        self._drain_pending()
+            self._drain_pending()
         return self.records
 
     def _deliver(self, delivery) -> None:

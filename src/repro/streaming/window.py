@@ -15,11 +15,12 @@ keeps peak live state O(window), not O(stream):
   is suspect (a config change may have been lost), and the window
   stays degraded — conservative, and explicit in every report.
 
-``materialize()`` rebuilds a fresh :class:`~repro.replay.execution`
-from base + events; because both the base fold and the event list are
-deterministic functions of the delivery sequence, two materializations
-of the same window are identical — the foundation of the monitor's
-byte-identical offline/online and crash-resume guarantees.
+``materialize()`` rebuilds a fresh, runtime-recorded
+:class:`~repro.replay.execution.Execution` from base + events; because
+both the base fold and the event list are deterministic functions of
+the delivery sequence, two materializations of the same window are
+identical — the foundation of the monitor's byte-identical
+offline/online and crash-resume guarantees.
 """
 
 from __future__ import annotations
@@ -122,14 +123,17 @@ class StreamWindow:
         """A fresh execution equivalent to replaying this window.
 
         Base tuples are inserted first (the left-edge state), then the
-        in-window events in delivery order.  Deterministic: the same
+        in-window events in delivery order.  The execution runs in
+        runtime logging mode, so the provenance is recorded as the
+        window is built and the diagnosis's ``materialize()`` costs no
+        second pass over the log.  Deterministic: the same
         window contents always build the same execution, so a monitor
         diagnosis and an offline diagnosis of the same window are
         byte-identical.
         """
-        execution = Execution(self.program, name=name)
-        if self.engine is not None:
-            execution.engine_config = self.engine
+        execution = Execution(
+            self.program, name=name, mode="runtime", engine=self.engine
+        )
         for tup, mutable in self._base.items():
             execution.insert(tup, mutable=mutable)
         for event in self._events:

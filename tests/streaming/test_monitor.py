@@ -11,7 +11,10 @@ import json
 import pytest
 
 from repro.api import Session
+from repro.datalog.config import EngineConfig
 from repro.datalog.parser import parse_tuple
+from repro.errors import ReproError
+from repro.replay import Execution
 from repro.scenarios import ALL_SCENARIOS
 from repro.streaming import (
     Ingestor,
@@ -105,6 +108,33 @@ class TestDetection:
             json.dumps(record, sort_keys=True)
 
 
+def _incident_windows(scenario):
+    """``(incident, opening probe, window)`` per detection, rebuilt
+    offline from the scenario's stream exactly as the monitor saw it."""
+    ingestor = Ingestor(lateness=8)
+    window = StreamWindow(scenario.program, capacity=24)
+    detector = QualityDetector()
+    for event in scenario.stream_events():
+        for delivery in ingestor.push(event):
+            window.push(delivery)
+            if delivery.kind != "probe":
+                continue
+            incident = detector.observe(delivery)
+            if incident is not None:
+                yield incident, delivery, window
+
+
+def _offline_report(program, execution, record, probe):
+    with Session(
+        program=program,
+        good=execution,
+        bad=execution,
+        good_event=parse_tuple(record["reference"]),
+        bad_event=observed_event(probe),
+    ) as offline:
+        return offline.diagnose()
+
+
 class TestOfflineEquivalence:
     def test_each_diagnosis_matches_offline_session_of_same_window(
         self, flap_s, monitor
@@ -112,36 +142,76 @@ class TestOfflineEquivalence:
         """Rebuild each detection's window offline; reports must match."""
         by_incident = {r["incident"]: r for r in monitor.records}
         checked = 0
-        ingestor = Ingestor(lateness=8)
-        window = StreamWindow(flap_s.program, capacity=24)
-        detector = QualityDetector()
-        for event in flap_s.stream_events():
-            for delivery in ingestor.push(event):
-                window.push(delivery)
-                if delivery.kind != "probe":
-                    continue
-                incident = detector.observe(delivery)
-                if incident is None:
-                    continue
-                record = by_incident[incident.key]
-                assert record["window"] == list(window.span())
-                execution = window.materialize()
-                with Session(
-                    program=flap_s.program,
-                    good=execution,
-                    bad=execution,
-                    good_event=parse_tuple(record["reference"]),
-                    bad_event=observed_event(delivery),
-                ) as offline:
-                    report = offline.diagnose()
-                online = json.dumps(
-                    record["report"], indent=2, sort_keys=True
-                )
-                assert online == report.canonical_json(), (
-                    f"online/offline mismatch for {incident.key}"
-                )
-                checked += 1
+        for incident, probe, window in _incident_windows(flap_s):
+            record = by_incident[incident.key]
+            assert record["window"] == list(window.span())
+            report = _offline_report(
+                flap_s.program, window.materialize(), record, probe
+            )
+            online = json.dumps(record["report"], indent=2, sort_keys=True)
+            assert online == report.canonical_json(), (
+                f"online/offline mismatch for {incident.key}"
+            )
+            checked += 1
         assert checked == len(monitor.records)
+
+    def test_each_diagnosis_matches_a_query_time_execution(
+        self, flap_s, monitor
+    ):
+        """The oracle for the runtime-recorded window: the same window
+        events fed to a query-time Execution, whose provenance is
+        rebuilt by replaying its log rather than taken from the
+        recorder the live run kept."""
+        by_incident = {r["incident"]: r for r in monitor.records}
+        checked = 0
+        for incident, probe, window in _incident_windows(flap_s):
+            record = by_incident[incident.key]
+            oracle = Execution(flap_s.program, name="oracle")
+            assert oracle.mode == "query-time"
+            for entry in window.materialize().log.entries:
+                if entry.op == "insert":
+                    oracle.insert(entry.tuple, mutable=entry.mutable)
+                else:
+                    assert entry.op == "delete"
+                    oracle.delete(entry.tuple)
+            report = _offline_report(flap_s.program, oracle, record, probe)
+            online = json.dumps(record["report"], indent=2, sort_keys=True)
+            assert online == report.canonical_json(), (
+                f"runtime/query-time mismatch for {incident.key}"
+            )
+            checked += 1
+        assert checked == len(monitor.records)
+
+
+class TestEngineKnob:
+    def test_string_engine_runs_the_live_window_on_that_backend(self):
+        source = ScenarioStreamSource.for_name("FLAP-S", flaps=6)
+        monitor = StreamMonitor(source, engine="reference")
+        records = monitor.run()
+        assert monitor.engine == EngineConfig("reference")
+        live = monitor.window.materialize()
+        assert live.engine.config.backend == "reference"
+        assert live.materialize().recorder.provenance == "eager"
+        compiled = StreamMonitor(
+            ScenarioStreamSource.for_name("FLAP-S", flaps=6)
+        ).run()
+        assert json.dumps(records, sort_keys=True) == json.dumps(
+            compiled, sort_keys=True
+        )
+
+    def test_session_engine_reaches_the_live_window(self):
+        with Session(
+            "FLAP-S", engine="reference", scenario_params={"flaps": 4}
+        ) as session:
+            monitor = session.monitor()
+        assert len(monitor.records) == 4
+        live = monitor.window.materialize()
+        assert live.engine.config.backend == "reference"
+
+    def test_bad_engine_name_fails_at_construction(self):
+        source = ScenarioStreamSource.for_name("FLAP-S", flaps=2)
+        with pytest.raises(ReproError, match="option 'engine'.*warp"):
+            StreamMonitor(source, engine="warp")
 
 
 class TestBackpressure:
