@@ -432,9 +432,10 @@ class Session:
         """Release the session's resources; idempotent.
 
         Closes (and flushes) any open journal, detaches the shared
-        cache from the executions, and drops the scenario and
-        execution references so their logs and provenance graphs can
-        be collected.  Further queries raise
+        cache from the executions, drops their live replay bases (kept
+        across calls, so the log prefix is driven once per Session),
+        and drops the scenario and execution references so their logs
+        and provenance graphs can be collected.  Further queries raise
         :class:`~repro.errors.ReproError`; the ``journal`` attribute
         stays readable so crash handlers can still print
         ``journal.progress()``.
@@ -445,6 +446,8 @@ class Session:
         if self.journal is not None and not self.journal.closed:
             self.journal.close()
         for execution in (self.good, self.bad):
+            if hasattr(execution, "drop_base"):
+                execution.drop_base()
             if (
                 self.cache is not None
                 and getattr(execution, "replay_cache", None) is self.cache

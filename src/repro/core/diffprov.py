@@ -557,7 +557,7 @@ class _DiagnosisState:
             # verified stimulus branch and mark the result degraded.
             self.partial_verify = True
             return None
-        bad_root = provenance_query(replayed.graph, expected_root).tuple_root
+        bad_root = replayed.graph.tuple_tree(expected_root)
         return self.equiv.first_divergence(good_root, bad_root)
 
     # ------------------------------------------------------------------

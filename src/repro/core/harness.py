@@ -70,9 +70,11 @@ class RunContext:
         """Attach this run to both executions for its duration.
 
         *Replays:* each execution owns one live replay base
-        (``Execution.fork_replays``); it belongs to the outermost scope
-        (one ``diagnose()``, one autoref sweep) and is dropped when that
-        exits.  A :class:`~repro.replay.cache.ReplayCache` the caller
+        (``Execution.fork_replays``), built by the first scope that
+        forks and kept across scopes: every exit parks it (rolls the
+        last candidate back, so no forked result outlives its call), and
+        only a log change, ``Session.close()`` or a scope with forking
+        off drops it.  A :class:`~repro.replay.cache.ReplayCache` the caller
         attached (``Session(cache=)``, a service worker's warm cache)
         stays attached and becomes ``self.cache``; none is created.
         With ``options.replay_cache`` false, forking is off and any
@@ -118,8 +120,11 @@ class RunContext:
                 cache.faults = None
             for execution, name, previous in reversed(saved):
                 setattr(execution, name, previous)
-                if name == "fork_replays" and not previous:
-                    execution.drop_base()
+                if name == "fork_replays":
+                    if forking:
+                        execution.park_base()
+                    else:
+                        execution.drop_base()
 
     # ------------------------------------------------------------------
     # Phases: journal markers, budget checks, timings, spans.

@@ -202,6 +202,16 @@ class ProvenanceGraph:
                 result.append(tup)
         return result
 
+    def tuple_tree(self, tup: Tuple, time: Optional[int] = None):
+        """The tuple view of ``tup``'s provenance tree as of ``time``.
+
+        The eager answer, by projection; it is the oracle for
+        :meth:`repro.provenance.lazy.LazyProvenanceGraph.tuple_tree`.
+        """
+        from .query import provenance_query  # query imports this module
+
+        return provenance_query(self, tup, time).tuple_root
+
     def history(self, tup: Tuple) -> List[Vertex]:
         """Every vertex mentioning a tuple, in time order.
 

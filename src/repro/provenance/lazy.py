@@ -20,16 +20,19 @@ eager recorder would have performed for the same kept events — same
 order, same children lookups against the same partial graph.  The
 reconstructed graph is therefore byte-identical to the eager one, and
 every derived artifact (trees, serialized forms, diffs, reports) is
-too.
+too.  FIRSTDIV's tree query needs no graph: ``tuple_tree`` walks the state.
 """
 
 from __future__ import annotations
 
+import weakref
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from ..datalog.tuples import Tuple
 from ..errors import ReproError
 from .graph import DerivationInfo, ProvenanceGraph
+from .tree import TupleNode
 from .vertices import VertexKind
 
 __all__ = ["LazyProvenanceGraph", "apply_event"]
@@ -115,16 +118,25 @@ def apply_event(graph: ProvenanceGraph, event: tuple) -> None:
         raise ValueError(f"unknown arena event {kind!r}")
 
 
+def _latest(intervals, time: Optional[int] = None) -> Optional[list]:
+    """ProvenanceGraph.exist_at over intervals: the latest-starting one
+    live at ``time`` (any, without one); ties go to the first."""
+    if time is not None:
+        intervals = [i for i in intervals
+                     if i[0] <= time and (i[1] is None or i[1] >= time)]
+    return max(intervals, key=itemgetter(0), default=None)
+
+
 class LazyProvenanceGraph:
     """A :class:`ProvenanceGraph` facade that materializes on demand.
 
     While unmaterialized, it holds the event arena plus just enough
     incremental state to answer DiffProv's hot queries (liveness
     intervals, appear times, derivation records) without building a
-    single vertex.  The first call that needs real vertexes — tree
-    projection, serialization, history — triggers one reconstruction
-    (metered as ``provenance.lazy.reconstructions``), after which every
-    call delegates to the materialized graph.
+    single vertex, and :meth:`tuple_tree` answers the tree query.  The
+    first call that needs real vertexes — serialization, history —
+    triggers one reconstruction (``provenance.lazy.reconstructions``),
+    never inside a checkpoint (a forked candidate).
 
     The facade's identity is stable: ``recorder.graph`` returns the
     same object before and after materialization, so long-lived
@@ -132,25 +144,25 @@ class LazyProvenanceGraph:
     """
 
     def __init__(self, recorder=None):
-        # Backref for telemetry: read dynamically on every use, because
-        # replay-cache restores reattach a fresh Telemetry to the
-        # recorder after unpickling.
-        self._recorder = recorder
+        # The recorder, for its current telemetry (restores reattach one);
+        # weak, so a dropped recorder's state is freed without the collector.
+        self._recorder = weakref.ref(recorder) if recorder is not None else None
         self._arena: List[tuple] = []
         self._graph: Optional[ProvenanceGraph] = None
-        # Incremental cheap state, maintained by record():
-        self._exists: Dict[Tuple, List[list]] = {}  # tup -> [[start, end|None]]
-        self._appears: Dict[Tuple, List[int]] = {}  # tup -> appear times
-        self._insert_counts: Dict[Tuple, int] = {}
+        # Incremental cheap state, maintained by record().  One interval
+        # per EXIST: [start, end|None, node, cause], cause being the
+        # APPEAR's child — DerivationInfo, INSERT's mutable, or None.
+        self._exists: Dict[Tuple, List[list]] = {}
+        self._inserts: Dict[Tuple, bool] = {}  # tup -> latest insert's mutable
         self._derivations: Dict[int, DerivationInfo] = {}
         self._vertex_count = 0
         # The engine's undo trail while it has an open checkpoint.
         self._trail = None
 
     def __getstate__(self):
-        # A snapshot taken inside a checkpoint is a standalone state.
+        # A snapshot is standalone: no undo trail; the recorder relinks.
         state = self.__dict__.copy()
-        state["_trail"] = None
+        state["_trail"] = state["_recorder"] = None
         return state
 
     # -- recording (called by the owning recorder) ---------------------------
@@ -159,23 +171,14 @@ class LazyProvenanceGraph:
         """Join the engine's undo trail (``None`` leaves it again).
 
         Rollback truncates the arena and restores the cheap state entry
-        by entry; a graph materialized inside the checkpoint is simply
-        discarded (:meth:`materialize` keeps the arena meanwhile).
+        by entry.
         """
         if trail is not None:
             if self._graph is not None:
                 raise ReproError("a materialized graph cannot be checkpointed")
-            trail.attrs(self, "_graph", "_vertex_count")
+            trail.attrs(self, "_vertex_count")
             trail.length(self._arena)
         self._trail = trail
-
-    def _entry(self, index: dict, key, empty):
-        """``index.setdefault(key, empty())`` inside a checkpoint."""
-        entry = index.get(key)
-        if entry is None:
-            self._trail.item(index, key)
-            entry = index[key] = empty()
-        return entry
 
     @property
     def pending(self) -> bool:
@@ -194,22 +197,31 @@ class LazyProvenanceGraph:
         if kind == "ins":
             tup = event[2]
             if trail is not None:
-                trail.item(self._insert_counts, tup)
-            self._insert_counts[tup] = self._insert_counts.get(tup, 0) + 1
+                trail.item(self._inserts, tup)
+            self._inserts[tup] = event[4]  # the clock ticks per event
         elif kind == "app":
-            tup, time = event[2], event[3]
-            if trail is None:
-                self._appears.setdefault(tup, []).append(time)
-                self._exists.setdefault(tup, []).append([time, None])
+            _, node, tup, time, cause_kind, derivation_id = event
+            if cause_kind == "insert":
+                cause = self._inserts.get(tup)
             else:
-                for index, value in ((self._appears, time),
-                                     (self._exists, [time, None])):
-                    entries = self._entry(index, tup, list)
-                    trail.length(entries)
-                    entries.append(value)
+                cause = self._derivations.get(derivation_id)
+            entries = self._exists.get(tup)
+            if entries is None:
+                if trail is not None:
+                    trail.item(self._exists, tup)
+                entries = self._exists[tup] = []
+            elif trail is not None:
+                trail.length(entries)
+            entries.append([time, None, node, cause])
             self._vertex_count += 1  # the EXIST beside the APPEAR
         elif kind == "dis":
-            self._close(event[2], event[3])
+            # ProvenanceGraph.close_exist: end the latest open interval.
+            interval = _latest([i for i in self._exists.get(event[2], ())
+                                if i[1] is None])
+            if interval is not None:
+                if trail is not None:
+                    trail.item(interval, 1)
+                interval[1] = event[3]
         elif kind == "der":
             info = event[2]
             if info.id in self._derivations:
@@ -222,7 +234,7 @@ class LazyProvenanceGraph:
         elif kind not in ("del", "und"):  # pragma: no cover - defensive
             raise ValueError(f"unknown arena event {kind!r}")
         self._vertex_count += 1
-        telemetry = self._recorder.telemetry if self._recorder is not None else None
+        telemetry = getattr(self._recorder and self._recorder(), "telemetry", None)
         if telemetry is not None:
             self._meter(telemetry, event)
         if self._graph is not None:
@@ -246,7 +258,7 @@ class LazyProvenanceGraph:
         edges = 0
         if kind == "app":
             if event[4] == "insert":
-                parent = self._insert_counts.get(event[2])
+                parent = event[2] in self._inserts
             else:
                 parent = event[5] in self._derivations
             edges = 2 if parent else 1  # parent -> APPEAR -> EXIST
@@ -263,66 +275,63 @@ class LazyProvenanceGraph:
         if edges:
             telemetry.inc("recorder.edges", edges)
 
-    def _close(self, tup: Tuple, time: int) -> None:
-        # Mirror ProvenanceGraph.close_exist: end the latest open interval.
-        best = None
-        for interval in self._exists.get(tup, ()):
-            if interval[1] is None and (best is None or interval[0] > best[0]):
-                best = interval
-        if best is not None:
-            if self._trail is not None:
-                self._trail.item(best, 1)
-            best[1] = time
-
     # -- cheap queries (no materialization) ----------------------------------
+    # record() keeps this state current after materialization too.
 
     @property
     def derivations(self) -> Dict[int, DerivationInfo]:
-        if self._graph is not None:
-            return self._graph.derivations
         return self._derivations
 
     def alive_at(self, tup: Tuple, time: int) -> bool:
-        if self._graph is not None:
-            return self._graph.alive_at(tup, time)
-        for start, end in self._exists.get(tup, ()):
-            if start <= time and (end is None or end >= time):
-                return True
-        return False
+        return _latest(self._exists.get(tup, ()), time) is not None
 
     def alive_during(self, tup: Tuple, from_time: int) -> bool:
-        if self._graph is not None:
-            return self._graph.alive_during(tup, from_time)
-        for _, end in self._exists.get(tup, ()):
-            if end is None or end >= from_time:
-                return True
-        return False
+        return any(interval[1] is None or interval[1] >= from_time
+                   for interval in self._exists.get(tup, ()))
 
     def appear_times(self, tup: Tuple) -> List[int]:
-        if self._graph is not None:
-            return self._graph.appear_times(tup)
-        return list(self._appears.get(tup, ()))
+        return [interval[0] for interval in self._exists.get(tup, ())]
 
     def ever_existed(self, tup: Tuple) -> bool:
-        if self._graph is not None:
-            return self._graph.ever_existed(tup)
         return bool(self._exists.get(tup))
 
     def live_tuples(self, table: Optional[str] = None) -> List[Tuple]:
-        if self._graph is not None:
-            return self._graph.live_tuples(table)
-        result = []
-        for tup, intervals in self._exists.items():
-            if table is not None and tup.table != table:
-                continue
-            if any(end is None for _, end in intervals):
-                result.append(tup)
-        return result
+        return [
+            tup for tup, intervals in self._exists.items()
+            if (table is None or tup.table == table)
+            and any(interval[1] is None for interval in intervals)
+        ]
 
     def __len__(self) -> int:
-        if self._graph is not None:
-            return len(self._graph)
         return self._vertex_count
+
+    def tuple_tree(self, tup: Tuple, time: Optional[int] = None) -> TupleNode:
+        """``provenance_query(self, tup, time).tuple_root``, graph-free.
+
+        A derivation's children are the body intervals apply_event saw:
+        those started by its time (the clock never runs backwards).
+        """
+        if self._graph is not None:
+            return self._graph.tuple_tree(tup, time)
+        root = _latest(self._exists.get(tup, ()), time)
+        if root is None:
+            raise ReproError(f"event {tup} was never observed")
+        return self._tuple_node(tup, root)
+
+    def _tuple_node(self, tup: Tuple, interval: list) -> TupleNode:
+        start, _, node, cause = interval
+        if not isinstance(cause, DerivationInfo):
+            # An INSERT's mutable flag, or None for a causeless APPEAR.
+            return TupleNode(tup, node, None, None, start, cause, None)
+        result = TupleNode(tup, node, cause.rule_name, cause, start, None, None)
+        for member in cause.body:
+            earlier = [i for i in self._exists.get(member, ()) if i[0] <= cause.time]
+            child = _latest(earlier, cause.time) or _latest(earlier)
+            if child is not None:
+                child_node = self._tuple_node(member, child)
+                child_node.parent = result
+                result.children.append(child_node)
+        return result
 
     # -- materialization ------------------------------------------------------
 
@@ -330,35 +339,26 @@ class LazyProvenanceGraph:
         """The full eager graph, reconstructing it on first call."""
         graph = self._graph
         if graph is None:
-            telemetry = (
-                self._recorder.telemetry if self._recorder is not None else None
-            )
+            if self._trail is not None:
+                raise ReproError("a checkpointed graph cannot be "
+                                 "materialized; use tuple_tree()")
+            telemetry = getattr(self._recorder and self._recorder(), "telemetry", None)
             if telemetry is not None:
                 telemetry.inc("provenance.lazy.reconstructions")
             graph = ProvenanceGraph()
             for event in self._arena:
                 apply_event(graph, event)
-            self._graph = graph
-            # The arena is fully consumed; record() applies directly
-            # to the graph from here on.  Inside a checkpoint it is
-            # kept: rollback discards the graph and pends again.
-            if self._trail is None:
-                self._arena = []
+            # The arena is consumed; record() applies to the graph now.
+            self._graph, self._arena = graph, []
         return graph
 
     def __getattr__(self, name):
-        # Reached only when normal lookup fails, i.e. for eager-graph
-        # APIs this facade does not implement cheaply.  Guard dunder
-        # and private probes (pickle, copy) so they fail fast instead
-        # of materializing.
+        # Eager-graph APIs with no cheap answer materialize; private
+        # probes (pickle, copy) fail fast instead.
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self.materialize(), name)
 
     def __repr__(self):
-        state = (
-            f"materialized, {len(self._graph)} vertices"
-            if self._graph is not None
-            else f"pending, {len(self._arena)} events"
-        )
-        return f"LazyProvenanceGraph({state})"
+        state = "pending" if self._graph is None else "materialized"
+        return f"LazyProvenanceGraph({state}, {len(self)} vertices)"

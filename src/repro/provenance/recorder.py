@@ -17,6 +17,7 @@ The third mode (external specifications over packet traces) lives in
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional, Sequence
 
 from ..datalog.config import PROVENANCE_MODES
@@ -86,6 +87,11 @@ class ProvenanceRecorder:
         state = self.__dict__.copy()
         state["telemetry"] = None
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if self._lazy is not None:
+            self._lazy._recorder = weakref.ref(self)
 
     def checkpoint(self, trail) -> None:
         """Join the engine's undo trail (``None`` leaves it again)."""

@@ -74,11 +74,14 @@ class Execution:
         # live base below) instead of re-deriving the prefix.
         self.replay_cache = replay_cache
         # Live replay base.  While ``fork_replays`` is on (the debugger
-        # switches it on for one diagnose/repair/autoref scope, unless
+        # switches it on for each diagnose/repair/autoref scope, unless
         # replay_cache=False), replay() forks candidates off one
         # pristine (engine, recorder) parked at log position _base_at,
         # by checkpoint and rollback, instead of re-deriving or
-        # unpickling the prefix.
+        # unpickling the prefix.  The base outlives the scope (each
+        # scope exit parks it), so the prefix is driven once per
+        # Execution; it goes only when the log grows or drop_base() is
+        # called (Session.close, a scope with forking off).
         self.fork_replays = False
         self._base: Optional[tuple] = None
         self._base_at = 0
@@ -327,6 +330,17 @@ class Execution:
             if engine.faults is not None:
                 engine.faults.fold_into(telemetry)
         return ReplayResult(engine, recorder, owner=self)
+
+    def park_base(self) -> None:
+        """End the last candidate: roll the base back to its pristine
+        prefix and stale every forked result, keeping the base."""
+        self._generation += 1
+        if self._base is not None:
+            engine, recorder = self._base
+            if engine.in_checkpoint:
+                engine.rollback()
+            # Release the finished run's telemetry and deadline.
+            engine.telemetry = recorder.telemetry = engine.deadline = None
 
     def drop_base(self) -> None:
         """Discard the live base; outstanding forked results go stale."""

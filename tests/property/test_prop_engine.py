@@ -1,7 +1,7 @@
 """Property-based tests for engine determinism and replay equivalence."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.datalog import Engine, parse_program
 from repro.datalog.tuples import Tuple
@@ -9,6 +9,8 @@ from repro.faults import FaultPlan
 from repro.provenance import ProvenanceRecorder
 from repro.provenance.vertices import VertexKind
 from repro.replay import Execution
+
+from ..replay._forkstate import assert_same_trees
 
 PROGRAM_TEXT = """
 table edge(X, Y).
@@ -186,6 +188,35 @@ class TestRuntimeMaterialize:
         for name in ("dropped", "duplicated", "reordered", "delayed"):
             assert counters[name] > 0, name
         assert recorded.recorder.lost_events > 0
+
+
+def assert_walk_equals_projection(program_text, ops, faults=None):
+    """The compiled backend's annotated recorder answers ``tuple_tree``
+    by walking its state; the reference backend projects its eager
+    graph.  Query-time materialize(): the plan's logging loss applies."""
+    program = parse_program(program_text)
+    walked, eager = (
+        feed(Execution(program, faults=faults, engine=backend), ops)
+        .materialize().graph
+        for backend in ("compiled", "reference")
+    )
+    assert_same_trees(walked, eager)
+
+
+DENSE = [("insert", a, b) for a in range(5) for b in range(5) if a != b]
+
+
+class TestTupleTreeWalk:
+    @settings(max_examples=30, deadline=None)
+    @given(edge_ops)
+    def test_walk_equals_reference_projection(self, ops):
+        assert_walk_equals_projection(PROGRAM_TEXT, ops)
+
+    @settings(max_examples=30, deadline=None)
+    @given(edge_ops)
+    @example(DENSE)  # drops, duplicates, reorders, delays and loses
+    def test_equal_under_prov_loss_and_engine_faults(self, ops):
+        assert_walk_equals_projection(LOCATED_PROGRAM_TEXT, ops, FAULTY)
 
 
 class TestProvenanceInvariants:

@@ -8,7 +8,9 @@ modify candidates at random anchors, with the base dropped and rebuilt
 at random points:
 
 - every forked result equals ``replay(..., cache=None)`` from scratch,
-  on everything tests/replay/_forkstate.py can observe, and
+  on everything tests/replay/_forkstate.py can observe,
+- its ``tuple_tree`` walk, inside the checkpoint, equals the
+  ``reference`` backend's eager projection, and
 - the rolled-back base equals a twin that never forked.
 
 The generators are the ones tests/property/test_prop_engine.py and
@@ -23,8 +25,8 @@ from repro.replay import Change, Execution, replay
 
 from ..replay._forkstate import (
     assert_base_is_pristine,
+    assert_same_trees,
     engine_state,
-    graph_dump,
     query_views,
 )
 from . import test_prop_engine as reach
@@ -100,9 +102,11 @@ def _check(execution, requests):
             want.engine, want.recorder
         )
         assert query_views(got.engine) == query_views(want.engine)
-        if len(changes) % 2:
-            # Materialize some candidates inside their checkpoint.
-            assert graph_dump(got.graph) == graph_dump(want.graph)
+        # The tree query inside the checkpoint (or on an owned bypass)
+        # against the reference backend's eager projection.
+        oracle = replay(execution.program, execution.log, changes, anchor,
+                        cache=None, **dict(how, engine="reference"))
+        assert_same_trees(got.graph, oracle.graph)
     if execution._base is not None:
         assert_base_is_pristine(execution)
 

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.datalog import Engine, parse_program, parse_tuple
+from repro.datalog.state import Derivation
+from repro.datalog.tuples import Tuple
 from repro.errors import ReproError
 from repro.provenance import ProvenanceRecorder, provenance_query
 from repro.provenance.vertices import VertexKind
+
+from ..replay._forkstate import tree_dump
 
 
 @pytest.fixture
@@ -102,3 +106,44 @@ class TestQueryErrors:
             provenance_query(
                 delivered_tree.graph, parse_tuple("delivered('h9', 1.1.1.1, 2.2.2.2)")
             )
+
+
+def _lossy_history(provenance):
+    """A recorder fed by hand, as under logging loss: X's second
+    appearance (t3) was lost, so when Z is derived from (Y, X) at t4 no
+    interval of X is live — apply_event falls back to X's latest
+    interval *recorded so far* (t1–t2), not the one appearing at t6."""
+    x, y, z = (Tuple(name, [1]) for name in "xyz")
+    recorder = ProvenanceRecorder(provenance=provenance)
+    recorder.on_insert("n", x, 1, True)
+    recorder.on_appear("n", x, 1, ("insert", None))
+    recorder.on_delete("n", x, 2)
+    recorder.on_disappear("n", x, 2, ("delete", None))
+    recorder.on_insert("n", x, 3, False)
+    recorder.on_insert("n", y, 4, False)
+    recorder.on_appear("n", y, 4, ("insert", None))
+    derivation = Derivation(7, "r", z, (y, x), {}, 0, 4, True)
+    recorder.on_derive("n", derivation, 4)
+    recorder.on_appear("n", z, 5, ("derive", derivation))
+    recorder.on_appear("n", x, 6, ("insert", None))
+    return recorder.graph, z
+
+
+class TestTupleTreeWalk:
+    """``tuple_tree`` off the annotated recorder ≡ the eager projection."""
+
+    def test_fallback_to_the_latest_interval_recorded_before(self):
+        walked, z = _lossy_history("annotated")
+        eager, _ = _lossy_history("eager")
+        tree = walked.tuple_tree(z)
+        assert walked.pending
+        assert tree_dump(tree) == tree_dump(eager.tuple_tree(z))
+        assert [(c.rule, c.appear_time, c.mutable) for c in tree.children] == [
+            (None, 4, False), (None, 1, True)]
+
+    def test_unknown_event_rejected(self):
+        walked, _ = _lossy_history("annotated")
+        with pytest.raises(ReproError, match="never observed"):
+            walked.tuple_tree(Tuple("w", [1]))
+        with pytest.raises(ReproError, match="never observed"):
+            walked.tuple_tree(Tuple("z", [1]), 4)

@@ -10,9 +10,7 @@ plans, sorted views, index buckets — are left out and checked through
 the queries they serve (:func:`query_views`).
 """
 
-import json
-
-from repro.provenance.serialize import _encode_tuple, encode_value
+from repro.errors import ReproError
 from repro.replay.replayer import pristine
 
 
@@ -63,9 +61,9 @@ def engine_state(engine, recorder):
         state["lazy"] = {
             "pending": lazy.pending,
             "arena": [_event(e) for e in lazy._arena],
-            "exists": [(t, [list(i) for i in v]) for t, v in lazy._exists.items()],
-            "appears": [(t, list(v)) for t, v in lazy._appears.items()],
-            "inserts": list(lazy._insert_counts.items()),
+            "exists": [(t, [_event(i) for i in v])
+                       for t, v in lazy._exists.items()],
+            "inserts": list(lazy._inserts.items()),
             "derivations": [_derivation(d) for d in lazy._derivations.values()],
             "vertices": lazy._vertex_count,
         }
@@ -87,21 +85,32 @@ def query_views(engine):
     return views
 
 
-def graph_dump(graph):
-    """The materialized graph in dump_graph's record format, in memory."""
-    records = [
-        (v.id, v.kind.value, v.node, _encode_tuple(v.tuple), v.time,
-         v.end_time, v.rule, v.derivation_id, v.mutable,
-         [c.id for c in graph.children(v)])
-        for v in graph.vertices
-    ]
-    records += [
-        (i.id, i.rule_name, _encode_tuple(i.head),
-         [_encode_tuple(t) for t in i.body],
-         {k: encode_value(v) for k, v in i.env.items()}, i.trigger_index, i.time)
-        for i in graph.derivations.values()
-    ]
-    return json.dumps(records, sort_keys=True)
+def tree_dump(node):
+    """A tuple-view tree as nested data: what FIRSTDIV compares, plus the
+    node, appear time, mutability and derivation it reads off a node."""
+    derivation = node.derivation
+    return (node.tuple, node.rule, node.node, node.appear_time, node.mutable,
+            None if derivation is None else _derivation(derivation),
+            [tree_dump(child) for child in node.children])
+
+
+def assert_same_trees(walked, eager):
+    """``tuple_tree`` walked off an unmaterialized recorder ≡ the eager
+    graph's projection, for every tuple at every time its liveness
+    changes (and with no time: the latest interval)."""
+    assert walked.pending
+    for tup, exists in eager._exists_by_tuple.items():
+        times = {None}
+        for vertex in exists:
+            times.update((vertex.time - 1, vertex.time, vertex.end_time))
+        for time in times:
+            dumps = []
+            for graph in (walked, eager):
+                try:
+                    dumps.append(tree_dump(graph.tuple_tree(tup, time)))
+                except ReproError:  # never observed at that time
+                    dumps.append(None)
+            assert dumps[0] == dumps[1], (tup, time)
 
 
 def assert_same_state(got, want):
