@@ -343,8 +343,7 @@ class Session:
         self._closed = False
         if self.scenario_name is None:
             self._built = True
-            self._attach_cache()
-            self._apply_engine()
+            self._attach()
         else:
             from .scenarios import ALL_SCENARIOS
 
@@ -391,42 +390,26 @@ class Session:
             # Scenario classes may carry their own plan (e.g. SDN1-F).
             self.options.faults = scenario.fault_plan
         self._built = True
-        self._attach_cache()
-        self._apply_engine()
+        self._attach()
         return self
 
-    def _apply_engine(self) -> None:
-        """Assign the session's EngineConfig to both executions.
+    def _attach(self) -> None:
+        """Hand the session's EngineConfig and ReplayCache to both
+        executions.
 
-        Backends produce byte-identical results, so this only changes
-        replay cost; scenario mode already threads the config through
-        the scenario's ``engine`` param, making this a no-op there.
+        Backends produce byte-identical results, so the config only
+        changes replay cost (scenario mode already threads it through
+        the scenario's ``engine`` param).  A run's ``RunContext.scope``
+        (repro.core.harness) never creates a cache; one it finds
+        attached seeds the replay base and keeps results, which is how
+        warmth survives across diagnose() calls and across Sessions
+        sharing one cache.
         """
-        if self.engine_config is None:
-            return
         for execution in (self.good, self.bad):
-            if (
-                hasattr(execution, "engine_config")
-                and execution.engine_config != self.engine_config
-            ):
+            if self.engine_config is not None:
                 execution.engine_config = self.engine_config
-
-    def _attach_cache(self) -> None:
-        """Hand the caller-supplied ReplayCache to both executions.
-
-        A run's ``RunContext.scope`` (repro.core.harness) never creates
-        a cache; one it finds attached seeds the replay base and keeps
-        results, which is how warmth survives across diagnose() calls
-        and across Sessions sharing one cache.
-        """
-        if self.cache is None:
-            return
-        for execution in (self.good, self.bad):
-            if (
-                hasattr(execution, "replay_cache")
-                and execution.replay_cache is None
-            ):
-                execution.replay_cache = self.cache
+            if self.cache is not None:
+                execution.share_cache(self.cache)
 
     def close(self) -> None:
         """Release the session's resources; idempotent.
@@ -445,14 +428,9 @@ class Session:
         self._closed = True
         if self.journal is not None and not self.journal.closed:
             self.journal.close()
-        for execution in (self.good, self.bad):
-            if hasattr(execution, "drop_base"):
-                execution.drop_base()
-            if (
-                self.cache is not None
-                and getattr(execution, "replay_cache", None) is self.cache
-            ):
-                execution.replay_cache = None
+        if self._built:
+            for execution in (self.good, self.bad):
+                execution.release(self.cache)
         self._scenario = None
         self.program = None
         self.good = None

@@ -52,16 +52,10 @@ def candidate_changes(good_execution, bad_execution) -> List[Change]:
     the bad one, and removals of mutable base tuples present only in
     the bad run.
     """
-    good_base = {
-        t
-        for t in good_execution.engine.store.base_tuples()
-        if good_execution.engine.is_mutable(t)
-    }
-    bad_base = {
-        t
-        for t in bad_execution.engine.store.base_tuples()
-        if bad_execution.engine.is_mutable(t)
-    }
+    good_store = good_execution.engine.store
+    bad_store = bad_execution.engine.store
+    good_base = {t for t in good_store.base_tuples() if good_store.is_mutable(t)}
+    bad_base = {t for t in bad_store.base_tuples() if bad_store.is_mutable(t)}
     changes: List[Change] = []
     for tup in sorted(good_base - bad_base, key=str):
         changes.append(Change(insert=tup, reason="blind candidate"))

@@ -46,8 +46,8 @@ from ..errors import (
 )
 from ..provenance.query import provenance_query
 from ..provenance.tree import TupleNode
-from ..replay.execution import Execution
 from ..replay.replayer import Change, ReplayResult
+from ..replay.substrate import Substrate
 from .equivalence import EquivalenceRelation
 from .harness import RunContext
 from .repair import repair_condition
@@ -119,8 +119,8 @@ class DiffProv:
 
     def diagnose(
         self,
-        good: Execution,
-        bad: Execution,
+        good: Substrate,
+        bad: Substrate,
         good_event: Tuple,
         bad_event: Tuple,
         good_time: Optional[int] = None,
@@ -154,8 +154,8 @@ class DiffProv:
     # Convenience: the vertex-count comparison used by Table 1.
     def tree_sizes(
         self,
-        good: Execution,
-        bad: Execution,
+        good: Substrate,
+        bad: Substrate,
         good_event: Tuple,
         bad_event: Tuple,
     ):
@@ -184,7 +184,7 @@ class _DiagnosisState:
     """Mutable state of one diagnose() call."""
 
     def __init__(
-        self, program: Program, run: RunContext, good: Execution, bad: Execution
+        self, program: Program, run: RunContext, good: Substrate, bad: Substrate
     ):
         self.program = program
         # The run harness: journal, deadline, telemetry, candidate sweep.
@@ -238,9 +238,9 @@ class _DiagnosisState:
                 bad_result = good_result
             else:
                 bad_result = self.bad.materialize()
-            self.lost_log_events = self._lost(good_result)
+            self.lost_log_events = good_result.recorder.lost_events
             if self.bad is not self.good:
-                self.lost_log_events += self._lost(bad_result)
+                self.lost_log_events += bad_result.recorder.lost_events
             if self.lost_log_events:
                 # The persisted provenance is missing vertexes.  The
                 # event log is lossless ground truth, so the debugger
@@ -248,12 +248,12 @@ class _DiagnosisState:
                 # query-time mode) and marks the diagnosis degraded:
                 # it rests on recovered, not recorded, provenance.
                 self.recovered = True
-                good_result = self.good.replay()
+                good_result = self.good.recover()
                 self.replays += 1
                 if self.bad is self.good:
                     bad_result = good_result
                 else:
-                    bad_result = self.bad.replay()
+                    bad_result = self.bad.recover()
                     self.replays += 1
             good_tree = self._query_tree(
                 good_result.graph, good_event, good_time, "good"
@@ -390,7 +390,7 @@ class _DiagnosisState:
         typed report instead.
         """
         stats = self.distributed_stats.get(side)
-        if stats is None or not getattr(stats, "degraded", False):
+        if stats is None or not stats.degraded:
             return
         if execution.log.index_of_insert(seed.tuple) is None:
             raise DiagnosisFailure(
@@ -408,20 +408,9 @@ class _DiagnosisState:
         not on mere fault-plan presence, so a zero plan changes nothing
         (the zero-overhead-in-behaviour guarantee).
         """
-        return self._lossy(replayed) or any(
-            getattr(stats, "degraded", False)
-            for stats in self.distributed_stats.values()
+        return bool(replayed.recorder.lost_events) or any(
+            stats.degraded for stats in self.distributed_stats.values()
         )
-
-    @staticmethod
-    def _lossy(replayed) -> bool:
-        recorder = getattr(replayed, "recorder", None)
-        return bool(getattr(recorder, "lost_events", 0))
-
-    @staticmethod
-    def _lost(result) -> int:
-        recorder = getattr(result, "recorder", None)
-        return int(getattr(recorder, "lost_events", 0) or 0)
 
     def _note_unknown(self, expected: Tuple) -> None:
         if expected not in self._unknown_set:
@@ -441,13 +430,8 @@ class _DiagnosisState:
         schema = self.program.schemas.get(expected.table)
         if schema is not None and schema.kind == TableKind.EVENT:
             return self.bad.log.index_of_insert(expected) is not None
-        try:
-            record = replayed.engine.store.record(expected)
-        except Exception:
-            return False
-        if record is None:
-            return False
-        return bool(getattr(record, "alive", True))
+        record = replayed.store.record(expected)
+        return record is not None and record.alive
 
     def _minimize(self, path, good_root, anchor_index) -> None:
         """Greedy minimality post-pass (Section 4.9).
@@ -551,7 +535,7 @@ class _DiagnosisState:
                 self._note_unknown(expected_root)
                 return None
             return good_root
-        if self._lossy(replayed):
+        if replayed.recorder.lost_events:
             # A deep tree comparison against a lossy graph reports
             # spurious divergences for every lost subtree; stop at the
             # verified stimulus branch and mark the result degraded.
@@ -754,7 +738,7 @@ class _DiagnosisState:
                 continue
             match_atom(sibling_atom, self.equiv.expected_tuple(sibling), env)
         competitors = []
-        store = replayed.engine.store
+        store = replayed.store
         for candidate in _candidate_tuples(store, atom, env):
             record = store.record(candidate)
             if record is None or not record.is_base:
@@ -766,9 +750,7 @@ class _DiagnosisState:
                 competitors.append(candidate)
         if len(competitors) > MAX_COMPETITORS:
             return ()
-        immutable = [
-            c for c in competitors if not replayed.engine.is_mutable(c)
-        ]
+        immutable = [c for c in competitors if not store.is_mutable(c)]
         if immutable:
             return ()
         return tuple(competitors)
@@ -927,10 +909,10 @@ class _DiagnosisState:
         base tuples it rests on (the policy).  Returns None when the
         blocker is pinned by immutable state only.
         """
-        store = replayed.engine.store
+        store = replayed.store
         record = store.record(winner)
         if record is not None and record.is_base:
-            if not replayed.engine.is_mutable(winner):
+            if not store.is_mutable(winner):
                 return None
             return [winner]
         # Find a derivation of the winner and pull out its mutable
@@ -947,7 +929,7 @@ class _DiagnosisState:
             member_record = store.record(member)
             if member_record is None or not member_record.is_base:
                 continue
-            if replayed.engine.is_mutable(member):
+            if store.is_mutable(member):
                 removals.append(member)
         return removals or None
 
@@ -962,7 +944,7 @@ class _DiagnosisState:
     ) -> Optional[Tuple]:
         candidates = list(
             _candidate_tuples(
-                replayed.engine.store, atom, env_anchor, rule.conditions
+                replayed.store, atom, env_anchor, rule.conditions
             )
         )
         if expected_child not in candidates:
@@ -1008,10 +990,7 @@ class _DiagnosisState:
             or self.partial_verify
             or self.unknowns
             or self.assumed
-            or any(
-                getattr(stats, "degraded", False)
-                for stats in self.distributed_stats.values()
-            )
+            or any(stats.degraded for stats in self.distributed_stats.values())
         )
 
     def _confidences(self, success: bool) -> Optional[List[str]]:
@@ -1075,15 +1054,16 @@ def _candidate_tuples(store, atom, env: Dict[str, object], conditions=()):
     the sequence the scan would have produced after filtering.
 
     ``conditions`` (the selector search's) narrow further where the
-    store offers ``tuples_covering``: the same order, minus only the
-    candidates an ``ip_in_prefix(A, P) == true`` condition rejects.
+    store's ``tuples_covering`` has an index: the same order, minus only
+    the candidates an ``ip_in_prefix(A, P) == true`` condition rejects.
     """
-    covering = getattr(store, "tuples_covering", None)
-    if covering is not None and atom.location in env:
+    if atom.location in env:
         for condition in conditions:
             slot = _prefix_slot(condition, atom, env)
             if slot is not None:
-                found = covering(atom.table, env[atom.location], *slot)
+                found = store.tuples_covering(
+                    atom.table, env[atom.location], *slot
+                )
                 if found is not None:
                     return found
     for position, arg in enumerate(atom.args):

@@ -7,8 +7,9 @@ and metric fold, the fault plan's host-side injectors, the caller's
 replay cache, and the rollback planner's invocation.  Two pieces:
 
 - :class:`RunContext` — one per ``diagnose()`` / ``auto_diagnose()``
-  call (a stand-alone :class:`~repro.repair.RollbackPlanner` gets an
-  inert default), built from the call's :class:`DiffProvOptions`.
+  call (a stand-alone :class:`~repro.repair.RollbackPlanner` gets one
+  built from default options), built from the call's
+  :class:`DiffProvOptions`.
 - :meth:`RunContext.sweep` — the one candidate loop.  The minimality
   pass, the reference search and rollback-plan verification all
   evaluate a list of independent candidates and consume the verdicts
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Dict, Iterator, Optional, Sequence, Tuple as PyTuple
 
 from ..errors import DeadlineExceeded, DiagnosisFailure, FaultError, ReproError
@@ -47,12 +48,12 @@ def _identity(value):
 class RunContext:
     """Journal, deadline, telemetry, faults and cache of one run."""
 
-    def __init__(self, options=None):
+    def __init__(self, options):
         self.options = options
-        self.telemetry = _active_telemetry(getattr(options, "telemetry", None))
-        self.journal = getattr(options, "journal", None)
-        self.deadline = Deadline.of(getattr(options, "deadline", None))
-        self.fault_plan = getattr(options, "faults", None)
+        self.telemetry = _active_telemetry(options.telemetry)
+        self.journal = options.journal
+        self.deadline = Deadline.of(options.deadline)
+        self.fault_plan = options.faults
         # The caller's ReplayCache seeding this run's replays, if any
         # (found attached to an execution by scope()).
         self.cache = None
@@ -67,64 +68,33 @@ class RunContext:
 
     @contextmanager
     def scope(self, good, bad):
-        """Attach this run to both executions for its duration.
+        """Attach this run to both substrates for its duration.
 
-        *Replays:* each execution owns one live replay base
-        (``Execution.fork_replays``), built by the first scope that
-        forks and kept across scopes: every exit parks it (rolls the
-        last candidate back, so no forked result outlives its call), and
-        only a log change, ``Session.close()`` or a scope with forking
-        off drops it.  A :class:`~repro.replay.cache.ReplayCache` the caller
-        attached (``Session(cache=)``, a service worker's warm cache)
-        stays attached and becomes ``self.cache``; none is created.
-        With ``options.replay_cache`` false, forking is off and any
-        attached cache is detached — the explicit off switch wins.
-        The ``snapshot-corrupt`` fault kind arms the attached cache.
-        *Deadline and telemetry:* every query-time replay the
-        executions perform checks the shared budget from inside the
-        engine's step loop and lands inside the run's span tree.
-
-        Stand-ins (the MapReduce runtime, the network emulator) lacking
-        an attribute are left alone; previous values are always
-        restored.
+        Each substrate's ``attached`` hook
+        (:mod:`repro.replay.substrate`) attaches the run and restores
+        what it replaced: deadline and telemetry everywhere, so every
+        query-time replay checks the shared budget and lands in the
+        run's span tree; on an engine execution also the forking switch
+        and its live replay base, built by the first scope that forks,
+        parked (last candidate rolled back) on every exit and dropped
+        by a scope with forking off.  A
+        :class:`~repro.replay.cache.ReplayCache` the caller attached
+        (``Session(cache=)``, a service worker's warm cache) stays
+        attached and becomes ``self.cache``; none is created, and
+        ``options.replay_cache=False`` detaches it for the run.  The
+        ``snapshot-corrupt`` fault kind arms it.
         """
-        forking = getattr(self.options, "replay_cache", True)
-        attach = {"deadline": self.deadline, "telemetry": self.telemetry}
-        saved = []
-        for execution in [good] if good is bad else [good, bad]:
-            for name, value in attach.items():
-                if value is not None and hasattr(execution, name):
-                    saved.append((execution, name, getattr(execution, name)))
-                    setattr(execution, name, value)
-            if not hasattr(execution, "replay_cache"):
-                continue
-            saved.append((execution, "replay_cache", execution.replay_cache))
-            saved.append((execution, "fork_replays", execution.fork_replays))
-            execution.fork_replays = forking
-            if not forking:
-                execution.replay_cache = None
-            elif self.cache is None:
-                self.cache = execution.replay_cache
-        cache, plan = self.cache, self.fault_plan
-        armed = (
-            cache is not None and cache.faults is None
-            and plan is not None and plan.snapshot_corrupt > 0.0
-        )
-        if armed:
-            # The snapshot-corrupt fault kind damages what this run stores.
-            cache.faults = FaultInjector(plan, "snapshot")
-        try:
+        with ExitStack() as stack:
+            for execution in [good] if good is bad else [good, bad]:
+                stack.enter_context(execution.attached(self))
+            cache, plan = self.cache, self.fault_plan
+            if (
+                cache is not None and cache.faults is None
+                and plan is not None and plan.snapshot_corrupt > 0.0
+            ):
+                cache.faults = FaultInjector(plan, "snapshot")
+                stack.callback(setattr, cache, "faults", None)
             yield self
-        finally:
-            if armed:
-                cache.faults = None
-            for execution, name, previous in reversed(saved):
-                setattr(execution, name, previous)
-                if name == "fork_replays":
-                    if forking:
-                        execution.park_base()
-                    else:
-                        execution.drop_base()
 
     # ------------------------------------------------------------------
     # Phases: journal markers, budget checks, timings, spans.

@@ -251,9 +251,6 @@ class Engine:
     def exists(self, tup: Tuple) -> bool:
         return self.store.alive(tup)
 
-    def is_mutable(self, tup: Tuple) -> bool:
-        return self.store.is_mutable(tup)
-
     # -- queue processing ------------------------------------------------------
 
     def _tick(self) -> int:

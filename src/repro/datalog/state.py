@@ -152,6 +152,10 @@ class Store:
     :class:`repro.datalog.columnar.ColumnarStore`.
     """
 
+    # Derived state lives here too, not only in the provenance graph
+    # (the store shape of repro.replay.substrate).
+    base_only = False
+
     def __init__(self, schemas: Dict[str, TableSchema]):
         self.schemas = schemas
         self._tables: Dict[str, Dict[Tuple, TupleRecord]] = {
@@ -217,6 +221,10 @@ class Store:
             for tup in self.tuples(table)
             if all(p < tup.arity and tup.args[p] == v for p, v in pairs)
         ]
+
+    def tuples_covering(self, table, location, position, address) -> None:
+        """No prefix index: callers fall back to :meth:`tuples_matching`."""
+        return None
 
     def _note_liveness_change(self, tup: Tuple, alive: bool) -> None:
         if self._trail is not None:

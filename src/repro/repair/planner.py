@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..core.diffprov import DiffProvOptions
 from ..core.harness import RunContext
 from ..datalog.tuples import TableKind
 from ..errors import ReproError, StepLimitExceeded
 from ..replay.replayer import Change
-from .probes import Baseline, derived_alive_state
+from .probes import Baseline, derived_alive_state, is_base
 
 __all__ = [
     "RollbackPlan",
@@ -128,8 +129,9 @@ class RollbackPlanner:
         self.changes = list(changes)
         self.anchor_index = anchor_index
         # Journal, deadline, telemetry and candidate sweep of the
-        # diagnosis this planner serves; inert when used stand-alone.
-        self.run = run if run is not None else RunContext()
+        # diagnosis this planner serves; default options (no journal,
+        # deadline or telemetry) when used stand-alone.
+        self.run = run if run is not None else RunContext(DiffProvOptions())
         # Logical replay accounting: +1 per verdict consumed whether it
         # came from a live replay, a snapshot restore, or a journal hit
         # — the count is part of the canonical section, so it must be
@@ -197,7 +199,7 @@ class RollbackPlanner:
         # execution's next replay invalidates.
         self.baseline = Baseline(pristine, self.program)
         pristine_derived = derived_alive_state(pristine, self.program)
-        store = pristine.engine.store
+        store = pristine.store
         self.counterparts = {
             change.insert: self._counterparts(store, change.insert)
             for change in self.changes
@@ -242,7 +244,7 @@ class RollbackPlanner:
             for tup in near
             if tup.arity == insert.arity
             and sum(1 for a, b in zip(tup.args, insert.args) if a != b) == 1
-            and getattr(store.record(tup), "is_base", False)
+            and is_base(store, tup)
         ]
         return sorted(out, key=str)
 

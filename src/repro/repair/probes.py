@@ -29,6 +29,7 @@ __all__ = [
     "alive_state",
     "derived_alive_state",
     "probe_suite",
+    "is_base",
     "Baseline",
 ]
 
@@ -42,14 +43,20 @@ def state_tables(program) -> List[str]:
     )
 
 
+def is_base(store, tup: Tuple) -> bool:
+    """Whether ``store`` holds ``tup`` as a base tuple."""
+    record = store.record(tup)
+    return record is not None and record.is_base
+
+
 def _graph_state(result, program):
-    """Live state tuples of an *emulated* result's graph, else ``None``.
+    """Live state tuples of a ``base_only`` store's graph, else ``None``.
 
     An emulated result's store views the data-plane configuration only
     (and can ``delta`` itself against another view in O(changed
     entries)); what the traffic derived lives in the graph, O(traffic).
     """
-    if not hasattr(result.engine.store, "delta"):
+    if not result.store.base_only:
         return None
     tables = set(state_tables(program))
     return [t for t in result.graph.live_tuples() if t.table in tables]
@@ -64,7 +71,7 @@ def alive_state(result, program) -> FrozenSet[Tuple]:
     :meth:`Baseline.delta`, which falls back to it on engine stores;
     the tests use it as their oracle.
     """
-    store = result.engine.store
+    store = result.store
     alive = set(_graph_state(result, program) or ())
     for table in state_tables(program):
         alive.update(store.tuples(table))
@@ -73,14 +80,11 @@ def alive_state(result, program) -> FrozenSet[Tuple]:
 
 def derived_alive_state(result, program) -> FrozenSet[Tuple]:
     """Live *derived* state tuples only — the observable behaviour."""
-    store = result.engine.store
+    store = result.store
     live = _graph_state(result, program)
     if live is None:
         live = alive_state(result, program)
-    return frozenset(
-        tup for tup in live
-        if not getattr(store.record(tup), "is_base", False)
-    )
+    return frozenset(tup for tup in live if not is_base(store, tup))
 
 
 def probe_suite(pristine, reference, program) -> FrozenSet[Tuple]:
@@ -112,8 +116,8 @@ class Baseline:
 
     def __init__(self, pristine, program):
         self.program = program
-        store = pristine.engine.store
-        self.config = store if hasattr(store, "delta") else None
+        store = pristine.store
+        self.config = store if store.base_only else None
         footprint = alive_state if self.config is None else derived_alive_state
         self.alive = footprint(pristine, program)
 
@@ -122,4 +126,4 @@ class Baseline:
         if self.config is None:
             return alive_state(result, self.program) ^ self.alive
         derived = derived_alive_state(result, self.program) ^ self.alive
-        return derived | result.engine.store.delta(self.config)
+        return derived | result.store.delta(self.config)

@@ -14,9 +14,8 @@ run in two logging modes (Section 5):
 
 from __future__ import annotations
 
-import time as _time
-from contextlib import nullcontext
-from typing import Iterable, Optional
+from contextlib import contextmanager, nullcontext
+from typing import Optional
 
 from ..datalog.config import EngineConfig
 from ..datalog.engine import Engine
@@ -25,19 +24,17 @@ from ..datalog.tuples import Tuple
 from ..errors import ReproError
 from ..faults import FaultInjector
 from ..observability import active as _active_telemetry
-from ..provenance.graph import ProvenanceGraph
 from ..provenance.recorder import ProvenanceRecorder
 from .log import EventLog
-from .replayer import (
-    Change, ReplayResult, drive, pristine, replay, split_changes,
-)
+from .replayer import ReplayResult, drive, pristine, replay, split_changes
+from .substrate import Substrate
 
 __all__ = ["Execution"]
 
 _MODES = ("query-time", "runtime")
 
 
-class Execution:
+class Execution(Substrate):
     """A logged run of an NDlog program."""
 
     def __init__(
@@ -53,22 +50,9 @@ class Execution:
     ):
         if mode not in _MODES:
             raise ReproError(f"unknown logging mode {mode!r}")
-        self.program = program
-        self.name = name
+        super().__init__(name, EventLog(), program, engine, telemetry, faults)
         self.mode = mode
         self.logging_enabled = logging_enabled
-        # Backend selection, inherited by the live engine and every
-        # replay.  Both backends produce byte-identical results (the
-        # equivalence tests rely on this); only the cost changes.
-        self.engine_config = EngineConfig.coerce(engine)
-        # Optional FaultPlan.  The live engine and every replay build
-        # injectors with the same purposes from it, so query-time
-        # replays see the same fault schedule the primary run did.
-        self.fault_plan = faults
-        # Optional Telemetry, inherited by the live engine and every
-        # replay.  The debugger attaches its own for the duration of a
-        # diagnosis, so query-time replays land in the diagnosis trace.
-        self.telemetry = telemetry
         # Optional ReplayCache (repro.replay.cache): prefix snapshots
         # shared across Sessions/processes that seed a replay (or the
         # live base below) instead of re-deriving the prefix.
@@ -88,7 +72,6 @@ class Execution:
         # Bumped by every replay served from the base; a forked
         # ReplayResult is a view that dies with its generation.
         self._generation = 0
-        self.log = EventLog()
         self._runtime_recorder = (
             ProvenanceRecorder(
                 faults=(
@@ -111,12 +94,6 @@ class Execution:
             telemetry=telemetry,
             config=self.engine_config,
         )
-        self._materialized: Optional[ReplayResult] = None
-        # Optional repro.resilience.Deadline the debugger attaches for
-        # the duration of a diagnosis; every replay inherits it.
-        self.deadline = None
-        self.replay_count = 0
-        self.replay_seconds = 0.0
 
     # -- driving the primary system -----------------------------------------
 
@@ -147,26 +124,13 @@ class Execution:
         self._log_changed()
 
     def _log_changed(self) -> None:
-        self._materialized = None
+        super()._log_changed()
         self.drop_base()
 
     # -- provenance access ----------------------------------------------------
 
-    @property
-    def graph(self) -> ProvenanceGraph:
-        """The provenance graph (replay-reconstructed if query-time)."""
-        if self._runtime_recorder is not None:
-            return self._runtime_recorder.graph
-        return self.materialize().graph
-
     def materialize(self) -> ReplayResult:
-        """The *persisted* provenance (cached until the log grows).
-
-        Under a fault plan with logging loss, this is the graph the
-        production recorder managed to persist: the plan's prov-loss
-        stream applies, so vertexes may be missing (the recorder's
-        ``lost_events`` counts them).  Diagnostic replays made through
-        :meth:`replay` are lossless — see there.
+        """The persisted provenance (:meth:`Substrate.materialize`).
 
         Query-time mode reconstructs it by replaying the log from
         scratch.  Runtime mode already holds it: the result is the live
@@ -182,38 +146,13 @@ class Execution:
                 f"execution {self.name!r} ran with logging disabled; "
                 f"provenance cannot be reconstructed"
             )
-        if self._materialized is None:
-            if self._runtime_recorder is not None:
-                self._materialized = ReplayResult(
-                    self.engine, self._runtime_recorder
-                )
-            else:
-                self._materialized = self._replay(lossless=False)
-        return self._materialized
+        if self._materialized is None and self._runtime_recorder is not None:
+            self._materialized = ReplayResult(
+                self.engine, self._runtime_recorder
+            )
+        return super().materialize()
 
-    def replay(
-        self,
-        changes: Iterable[Change] = (),
-        anchor_index: Optional[int] = None,
-    ) -> ReplayResult:
-        """Replay this execution's log on a clone (Section 4.6).
-
-        Replays run in the debugger's controlled environment: the
-        plan's engine-level message faults are reproduced (they shaped
-        what the primary run derived), but recording is lossless — the
-        event log is ground truth, so a complete graph can always be
-        rebuilt from it.
-        """
-        return self._replay(changes, anchor_index, lossless=True)
-
-    def _replay(
-        self,
-        changes: Iterable[Change] = (),
-        anchor_index: Optional[int] = None,
-        lossless: bool = True,
-    ) -> ReplayResult:
-        started = _time.perf_counter()
-        changes = list(changes)
+    def _replay(self, changes, anchor_index, lossless) -> ReplayResult:
         # Bound every replay by a generous multiple of the primary run:
         # a candidate change that sends the replayed system into a loop
         # (e.g. a forwarding cycle) raises StepLimitExceeded instead of
@@ -227,40 +166,36 @@ class Execution:
             faults=self.fault_plan, lossless=lossless, step_limit=step_limit,
             telemetry=telemetry, cache=cache, deadline=self.deadline,
         )
-        try:
-            key = None
-            if cache is not None and changes:
-                # A cache that outlives this diagnosis may already hold
-                # this very candidate (the service's repeated requests).
-                key = cache.result_key(
-                    cache.base_key(self.log, self.fault_plan, lossless, True,
-                                   self.engine_config),
-                    changes, anchor_index, len(self.log),
-                )
-                restored = cache.fetch(key, telemetry, step_limit)
-                if restored is not None:
-                    restored[0].deadline = self.deadline
-                    return ReplayResult(*restored)
-            result = None
-            if (
-                lossless
-                and self.fork_replays
-                and self.engine_config.backend == "compiled"
-                and (self.fault_plan is None or self.fault_plan.host_only())
-            ):
-                result = self._fork(changes, anchor_index, how)
-            if result is None:
-                # From scratch: the oracle path, and an owned result.
-                result = replay(
-                    self.program, self.log, changes, anchor_index,
-                    engine=self.engine_config, **how,
-                )
-            if key is not None:
-                cache.store(key, result.engine, result.recorder, telemetry)
-            return result
-        finally:
-            self.replay_seconds += _time.perf_counter() - started
-            self.replay_count += 1
+        key = None
+        if cache is not None and changes:
+            # A cache that outlives this diagnosis may already hold
+            # this very candidate (the service's repeated requests).
+            key = cache.result_key(
+                cache.base_key(self.log, self.fault_plan, lossless, True,
+                               self.engine_config),
+                changes, anchor_index, len(self.log),
+            )
+            restored = cache.fetch(key, telemetry, step_limit)
+            if restored is not None:
+                restored[0].deadline = self.deadline
+                return ReplayResult(*restored)
+        result = None
+        if (
+            lossless
+            and self.fork_replays
+            and self.engine_config.backend == "compiled"
+            and (self.fault_plan is None or self.fault_plan.host_only())
+        ):
+            result = self._fork(changes, anchor_index, how)
+        if result is None:
+            # From scratch: the oracle path, and an owned result.
+            result = replay(
+                self.program, self.log, changes, anchor_index,
+                engine=self.engine_config, **how,
+            )
+        if key is not None:
+            cache.store(key, result.engine, result.recorder, telemetry)
+        return result
 
     def _fork(self, changes, anchor_index, how) -> Optional[ReplayResult]:
         """Serve one replay from the live base, or ``None`` to bypass.
@@ -330,6 +265,44 @@ class Execution:
             if engine.faults is not None:
                 engine.faults.fold_into(telemetry)
         return ReplayResult(engine, recorder, owner=self)
+
+    # -- runs -----------------------------------------------------------------
+
+    @contextmanager
+    def attached(self, run):
+        """Attach ``run`` (:meth:`Substrate.attached`) and switch
+        forking to ``run.options.replay_cache``.
+
+        With forking on, a cache attached here becomes ``run.cache``
+        (if the run has none yet) and the exit parks the live base;
+        with it off, the cache is detached for the run and the exit
+        drops the base.  The previous cache and switch are restored.
+        """
+        forking = run.options.replay_cache
+        saved = self.replay_cache, self.fork_replays
+        self.fork_replays = forking
+        if not forking:
+            self.replay_cache = None
+        elif run.cache is None:
+            run.cache = self.replay_cache
+        try:
+            with super().attached(run):
+                yield
+        finally:
+            self.replay_cache, self.fork_replays = saved
+            if forking:
+                self.park_base()
+            else:
+                self.drop_base()
+
+    def share_cache(self, cache) -> None:
+        if self.replay_cache is None:
+            self.replay_cache = cache
+
+    def release(self, cache=None) -> None:
+        super().release(cache)
+        if cache is not None and self.replay_cache is cache:
+            self.replay_cache = None
 
     def park_base(self) -> None:
         """End the last candidate: roll the base back to its pristine

@@ -75,7 +75,8 @@ class Change:
 
 
 class ReplayResult:
-    """A replayed execution: engine state plus reconstructed provenance.
+    """A replayed execution: engine state plus reconstructed provenance
+    (the result shape of :mod:`repro.replay.substrate`).
 
     With an ``owner`` (an Execution) this is a *view* of that
     execution's live replay base, valid until it replays again;
@@ -103,6 +104,10 @@ class ReplayResult:
     @property
     def engine(self) -> Engine:
         return self._current(self._engine)
+
+    @property
+    def store(self):
+        return self.engine.store
 
     @property
     def recorder(self) -> ProvenanceRecorder:

@@ -1,46 +1,36 @@
-"""Execution adapter for instrumented (reported-provenance) systems.
+"""The reported-provenance substrate: instrumented systems.
 
 Systems that are not written in NDlog — like the instrumented MapReduce
 runtime — cannot be replayed by the datalog engine.  Instead they
 provide a *runner*: a deterministic function that re-executes the
 primary system with a set of base-tuple changes applied and reports the
-resulting provenance.  :class:`ReportedExecution` wraps such a runner
-behind the same interface as :class:`repro.replay.execution.Execution`,
-so DiffProv treats both identically.
+resulting provenance.  :class:`ReportedExecution` is the
+:class:`~repro.replay.substrate.Substrate` around such a runner, so
+DiffProv drives it through the same declared interface as
+:class:`repro.replay.execution.Execution`.
 """
 
 from __future__ import annotations
 
-import time as _time
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
+from ..datalog.state import sort_key
 from ..datalog.tuples import Tuple
 from ..errors import ReproError
 from ..provenance.graph import ProvenanceGraph
 from ..provenance.recorder import ProvenanceRecorder
 from .log import EventLog
 from .replayer import Change
+from .substrate import StoreRecord, Substrate
 
 __all__ = ["ReportedExecution", "ReportedReplayResult", "GraphStoreView"]
 
 
-class _GraphRecord:
-    """Mimics :class:`repro.datalog.state.TupleRecord` for graph data."""
-
-    __slots__ = ("tuple", "is_base", "mutable")
-
-    def __init__(self, tup: Tuple, is_base: bool, mutable: bool):
-        self.tuple = tup
-        self.is_base = is_base
-        self.mutable = mutable
-
-
 class GraphStoreView:
-    """Live-tuple lookups backed by a provenance graph.
+    """The store of a reported replay: live-tuple lookups backed by a
+    provenance graph."""
 
-    Provides the subset of the engine/store interface that DiffProv's
-    competitor and blocker searches use.
-    """
+    base_only = False
 
     def __init__(self, graph: ProvenanceGraph):
         self.graph = graph
@@ -48,13 +38,7 @@ class GraphStoreView:
         for tup in graph.live_tuples():
             self._by_table.setdefault(tup.table, []).append(tup)
         for tuples in self._by_table.values():
-            tuples.sort(key=lambda t: tuple((type(a).__name__, str(a)) for a in t.args))
-
-    # store interface -------------------------------------------------------
-
-    @property
-    def store(self) -> "GraphStoreView":
-        return self
+            tuples.sort(key=sort_key)
 
     def tuples(self, table: str) -> List[Tuple]:
         return list(self._by_table.get(table, ()))
@@ -72,21 +56,23 @@ class GraphStoreView:
             if position < tup.arity and tup.args[position] == value
         ]
 
-    def record(self, tup: Tuple) -> Optional[_GraphRecord]:
-        inserts = self.graph.inserts_of(tup)
-        if not self.graph.exists_of(tup):
-            return None
-        is_base = bool(inserts)
-        mutable = inserts[-1].mutable if inserts else True
-        return _GraphRecord(tup, is_base, bool(mutable))
+    def tuples_covering(self, table, location, position, address) -> None:
+        """No prefix index: callers fall back to :meth:`tuples_matching`."""
+        return None
 
-    # engine interface -----------------------------------------------------
+    def record(self, tup: Tuple) -> Optional[StoreRecord]:
+        exists = self.graph.exists_of(tup)
+        if not exists:
+            return None
+        inserts = self.graph.inserts_of(tup)
+        mutable = inserts[-1].mutable if inserts else True
+        return StoreRecord(
+            bool(inserts), bool(mutable), any(v.is_open for v in exists)
+        )
 
     def is_mutable(self, tup: Tuple) -> bool:
         record = self.record(tup)
-        if record is None or record.mutable is None:
-            return True
-        return record.mutable
+        return True if record is None else record.mutable
 
 
 class ReportedReplayResult:
@@ -94,22 +80,21 @@ class ReportedReplayResult:
 
     def __init__(self, recorder: ProvenanceRecorder):
         self.recorder = recorder
-        self.engine = GraphStoreView(recorder.graph)
-
-    @property
-    def graph(self) -> ProvenanceGraph:
-        return self.recorder.graph
+        self.graph = recorder.graph
+        self.store = GraphStoreView(recorder.graph)
 
     def alive(self, tup: Tuple) -> bool:
         return self.graph.latest_open_exist(tup) is not None
 
 
-class ReportedExecution:
+class ReportedExecution(Substrate):
     """An instrumented system run, replayable through its runner.
 
     ``runner(changes)`` must deterministically re-execute the primary
     system with the base-tuple changes applied and return the
     :class:`ProvenanceRecorder` holding the reported provenance.
+    Reported provenance is what the system logged, so the persisted
+    graph is a lossless one.
     """
 
     def __init__(
@@ -119,36 +104,15 @@ class ReportedExecution:
         log: EventLog,
         program=None,
     ):
-        self.name = name
+        super().__init__(name, log, program)
         self.runner = runner
-        self.log = log
-        self.program = program
-        self._materialized: Optional[ReportedReplayResult] = None
-        self.replay_count = 0
-        self.replay_seconds = 0.0
 
-    @property
-    def graph(self) -> ProvenanceGraph:
-        return self.materialize().graph
-
-    def materialize(self) -> ReportedReplayResult:
-        if self._materialized is None:
-            self._materialized = self.replay()
-        return self._materialized
-
-    def replay(
-        self,
-        changes: Iterable[Change] = (),
-        anchor_index: Optional[int] = None,
-    ) -> ReportedReplayResult:
-        started = _time.perf_counter()
-        recorder = self.runner(list(changes))
+    def _replay(self, changes, anchor_index, lossless) -> ReportedReplayResult:
+        recorder = self.runner(changes)
         if not isinstance(recorder, ProvenanceRecorder):
             raise ReproError(
                 f"runner of {self.name!r} must return a ProvenanceRecorder"
             )
-        self.replay_seconds += _time.perf_counter() - started
-        self.replay_count += 1
         return ReportedReplayResult(recorder)
 
     def __repr__(self):

@@ -95,8 +95,7 @@ class Scenario:
             return
         config = EngineConfig.coerce(engine)
         for execution in (self.good_execution, self.bad_execution):
-            if hasattr(execution, "engine_config"):
-                execution.engine_config = config
+            execution.engine_config = config
 
     def _check_built(self) -> None:
         missing = [

@@ -11,13 +11,14 @@ Provenance is instead reconstructed by
 the switch configurations, and (c) an external specification of
 OpenFlow's match-action behaviour — the same best-match function the
 spec says a switch must apply.  The reconstructed derivations use the
-rule vocabulary of the declarative model, so DiffProv reasons about
+rule vocabulary of the declarative model, and
+:class:`EmulatedNetworkExecution` is a
+:class:`~repro.replay.substrate.Substrate`, so DiffProv reasons about
 emulated networks exactly as it does about engine-run ones.
 """
 
 from __future__ import annotations
 
-import time as _time
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple as PyTuple
 
 from ..addresses import IPv4Address
@@ -30,6 +31,7 @@ from ..provenance.graph import ProvenanceGraph
 from ..provenance.recorder import ProvenanceRecorder
 from ..replay.log import PACKET_RECORD_BYTES, EventLog
 from ..replay.replayer import Change
+from ..replay.substrate import StoreRecord, Substrate
 from . import model
 from .flowtable import FlowTable
 from .topology import Topology
@@ -293,9 +295,13 @@ class ExternalSpecReconstructor:
     def graph(self) -> ProvenanceGraph:
         return self.recorder.graph
 
-    def reconstruct(self, traces: Sequence[TraceEvent], injected: Set[int]):
-        """Consume a trace, building the provenance graph."""
-        for event in traces:
+    def reconstruct(self, traces: Sequence[TraceEvent], injected: Set[int],
+                    deadline=None):
+        """Consume a trace, building the provenance graph; ``deadline``
+        is checked every 64 events."""
+        for index, event in enumerate(traces):
+            if deadline is not None and not index & 63:
+                deadline.check("emulator.replay")
             if event.kind == "in":
                 self._on_arrival(event, injected)
             elif event.kind == "out":
@@ -465,15 +471,8 @@ class ExternalSpecReconstructor:
         return None
 
 
-class _BaseRecord:
-    is_base = True
-
-
-_BASE_RECORD = _BaseRecord()
-
-
 class _ConfigStoreView:
-    """Store interface over the live data-plane configuration.
+    """The store of an emulated replay: the live data-plane configuration.
 
     Lets DiffProv's competitor/blocker searches see the *whole*
     configuration without materializing 757k base-tuple vertexes in the
@@ -484,8 +483,12 @@ class _ConfigStoreView:
     *lookup* at full scale.
     """
 
+    # The configuration alone: what the traffic derived lives only in
+    # the reconstructed graph.
+    base_only = True
     _MUTABLE_TABLES = {"flowEntry", "groupEntry"}
-    _CONFIG_TABLES = ("flowEntry", "groupEntry", "link", "hostAt")
+    # Every tuple this store knows is a live base tuple.
+    _RECORDS = (StoreRecord(True, False), StoreRecord(True, True))
 
     def __init__(self, config: NetworkConfig):
         self.config = config
@@ -496,10 +499,6 @@ class _ConfigStoreView:
         self._projections: Dict[PyTuple[str, int], Dict] = {}
         # switch -> sorted flow entries (the hot flowEntry/switch case).
         self._per_switch: Dict[object, List[Tuple]] = {}
-
-    @property
-    def store(self):
-        return self
 
     def tuples(self, table: str) -> List[Tuple]:
         cached = self._tuples_cache.get(table)
@@ -568,8 +567,10 @@ class _ConfigStoreView:
             return tup in self._wiring
         return False
 
-    def record(self, tup: Tuple):
-        return _BASE_RECORD if self.contains(tup) else None
+    def record(self, tup: Tuple) -> Optional[StoreRecord]:
+        if not self.contains(tup):
+            return None
+        return self._RECORDS[tup.table in self._MUTABLE_TABLES]
 
     def is_mutable(self, tup: Tuple) -> bool:
         return tup.table in self._MUTABLE_TABLES
@@ -589,20 +590,14 @@ class _EmulationGraphView:
     def __getattr__(self, name):
         return getattr(self._graph, name)
 
+    # The emulated configuration is static for a run, so an entry
+    # present in it exists at every instant.
     def alive_during(self, tup: Tuple, from_time: int) -> bool:
-        if self._graph.alive_during(tup, from_time):
-            return True
-        return self._in_configuration(tup)
+        return (self._graph.alive_during(tup, from_time)
+                or self._store_view.contains(tup))
 
     def alive_at(self, tup: Tuple, time: int) -> bool:
-        if self._graph.alive_at(tup, time):
-            return True
-        # The emulated configuration is static for a run, so an entry
-        # present in it exists at every instant.
-        return self._in_configuration(tup)
-
-    def _in_configuration(self, tup: Tuple) -> bool:
-        return self._store_view.contains(tup)
+        return self._graph.alive_at(tup, time) or self._store_view.contains(tup)
 
 
 class EmulationReplayResult:
@@ -610,20 +605,21 @@ class EmulationReplayResult:
 
     def __init__(self, recorder: ProvenanceRecorder, config: NetworkConfig):
         self.recorder = recorder
-        self.engine = _ConfigStoreView(config)
-        self.graph = _EmulationGraphView(recorder.graph, self.engine)
+        self.store = _ConfigStoreView(config)
+        self.graph = _EmulationGraphView(recorder.graph, self.store)
 
     def alive(self, tup: Tuple) -> bool:
         return self.graph.alive_during(tup, 0)
 
 
-class EmulatedNetworkExecution:
+class EmulatedNetworkExecution(Substrate):
     """A logged emulator run, replayable with base-tuple changes.
 
-    The interface matches :class:`repro.replay.execution.Execution`, so
-    DiffProv drives the emulator exactly like an engine execution: the
-    log anchors the bad seed, and each UPDATETREE replays the packet
-    schedule against a cloned, modified configuration.
+    The substrate of provenance inferred from traces by an external
+    specification (:mod:`repro.replay.substrate`): the log anchors the
+    bad seed, and each UPDATETREE replays the packet schedule against
+    a cloned, modified configuration, checking the run's deadline
+    between injected packets and while reconstructing their trace.
     """
 
     def __init__(
@@ -634,20 +630,12 @@ class EmulatedNetworkExecution:
         faults=None,
         engine: Optional[EngineConfig] = None,
     ):
-        self.name = name
         self.base_config = config
         self.schedule = list(schedule)
-        # Optional FaultPlan; every replay builds fresh injectors with
-        # fixed purposes, so replays reproduce the same fault schedule.
-        self.fault_plan = faults
         # Backend selection maps onto how each replay obtains its
         # configuration copy: compiled forks (O(1) copy-on-write),
         # reference clones and linear-scans lookups.
-        self.engine_config = EngineConfig.coerce(engine)
-        self.log = self._build_log()
-        self._materialized: Optional[EmulationReplayResult] = None
-        self.replay_count = 0
-        self.replay_seconds = 0.0
+        super().__init__(name, self._build_log(), engine=engine, faults=faults)
 
     def _build_log(self) -> EventLog:
         log = EventLog()
@@ -671,33 +659,7 @@ class EmulatedNetworkExecution:
             )
         return log
 
-    @property
-    def graph(self):
-        return self.materialize().graph
-
-    def materialize(self) -> EmulationReplayResult:
-        """The *persisted* provenance: the plan's logging loss applies."""
-        if self._materialized is None:
-            self._materialized = self._replay(lossless=False)
-        return self._materialized
-
-    def replay(
-        self,
-        changes: Iterable[Change] = (),
-        anchor_index: Optional[int] = None,
-    ) -> EmulationReplayResult:
-        """Debugger-side replay: network faults reproduced, recording
-        lossless (the packet schedule and configuration are ground
-        truth, so reconstruction can always be complete)."""
-        return self._replay(changes, anchor_index, lossless=True)
-
-    def _replay(
-        self,
-        changes: Iterable[Change] = (),
-        anchor_index: Optional[int] = None,
-        lossless: bool = True,
-    ) -> EmulationReplayResult:
-        started = _time.perf_counter()
+    def _replay(self, changes, anchor_index, lossless) -> EmulationReplayResult:
         if self.engine_config.backend == "compiled":
             # O(1) copy-on-write: the shared entries are never copied,
             # only the handful the candidate changes touch.
@@ -717,14 +679,15 @@ class EmulatedNetworkExecution:
         else:
             network_faults = logging_faults = None
         network = EmulatedNetwork(config, faults=network_faults)
+        deadline = self.deadline
         injected = set()
         for switch, pkt, src, dst in self.schedule:
+            if deadline is not None:
+                deadline.check("emulator.replay")
             injected.add(pkt)
             network.inject(switch, pkt, src, dst)
         reconstructor = ExternalSpecReconstructor(config, faults=logging_faults)
-        recorder = reconstructor.reconstruct(network.traces, injected)
-        self.replay_seconds += _time.perf_counter() - started
-        self.replay_count += 1
+        recorder = reconstructor.reconstruct(network.traces, injected, deadline)
         return EmulationReplayResult(recorder, config)
 
     def __repr__(self):

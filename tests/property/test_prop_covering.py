@@ -74,7 +74,7 @@ def _winner(config, src, dst, expected, excluded):
     env = {}
     assert match_atom(PACKET_ATOM, model.packet("s1", 1, src, dst), env)
     state = _DiagnosisState.__new__(_DiagnosisState)
-    replayed = SimpleNamespace(engine=_ConfigStoreView(config))
+    replayed = SimpleNamespace(store=_ConfigStoreView(config))
     return state._select_winner(
         FLOW_ATOM, FWD, env, expected, replayed, set(excluded)
     )

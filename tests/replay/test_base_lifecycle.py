@@ -22,6 +22,7 @@ import weakref
 import pytest
 
 from repro import Session
+from repro.core.diffprov import DiffProvOptions
 from repro.core.harness import RunContext
 from repro.errors import ReproError, StepLimitExceeded
 from repro.provenance.lazy import LazyProvenanceGraph
@@ -82,7 +83,7 @@ class TestOneBasePerExecution:
         self, forwarding_program
     ):
         execution = _loop_execution(forwarding_program)
-        with RunContext().scope(execution, execution):
+        with RunContext(DiffProvOptions()).scope(execution, execution):
             execution.replay([BENIGN], 5)
         engine, recorder = execution._base  # parked: no undo trail
         # The graph's backref is weak, and a snapshot relinks it.
@@ -144,7 +145,7 @@ class TestACallThatDiesMidFork:
     ):
         execution = _loop_execution(forwarding_program)
         execution.fork_replays = False
-        run = RunContext()
+        run = RunContext(DiffProvOptions())
         with run.scope(execution, execution):
             want = execution.replay([BENIGN], 5).engine.store.all_tuples()
         with pytest.raises(StepLimitExceeded):
@@ -183,9 +184,9 @@ class TestNoGraphInsideAFork:
             for r in reports
         ]
         if reports[0].lost_events:
-            # The plan lost log events: each call recovers lossless
-            # provenance by a fresh (unforked) replay and queries it.
-            assert counts == [1, 2]
+            # The plan lost log events: the first call recovers lossless
+            # provenance by one owned replay, kept on the execution.
+            assert counts == [1, 1]
         else:
             # The Session's counters accumulate: each persisted
             # execution once, on the first call, and nothing since.

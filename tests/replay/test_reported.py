@@ -78,8 +78,10 @@ class TestGraphStoreView:
         recorder.report_delete("n", Tuple("cfg", ["b", 2]))
         return GraphStoreView(recorder.graph)
 
-    def test_store_is_self(self, view):
-        assert view.store is view
+    def test_result_store_is_the_view(self, execution):
+        result = execution.replay()
+        assert isinstance(result.store, GraphStoreView)
+        assert result.store.graph is result.graph
 
     def test_live_tuples_by_table(self, view):
         assert view.tuples("cfg") == [Tuple("cfg", ["a", 1])]

@@ -178,11 +178,11 @@ class TestExternalSpecReconstruction:
             "emu", config, [("s1", 1, IPv4Address("9.9.9.9"), IPv4Address("10.0.0.1"))]
         )
         result = execution.materialize()
-        entries = result.engine.store.tuples("flowEntry")
+        entries = result.store.tuples("flowEntry")
         assert len(entries) == config.total_entries()
-        assert result.engine.is_mutable(entries[0])
+        assert result.store.is_mutable(entries[0])
         link = model.link("s1", topo.port("s1", "s2"), "s2")
-        assert not result.engine.is_mutable(link)
+        assert not result.store.is_mutable(link)
 
     def test_lazy_base_reporting_keeps_graph_small(self, small_net):
         topo, config = small_net
