@@ -12,6 +12,7 @@ DiffProv drives it through the same declared interface as
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, List, Optional
 
 from ..datalog.state import sort_key
@@ -28,17 +29,25 @@ __all__ = ["ReportedExecution", "ReportedReplayResult", "GraphStoreView"]
 
 class GraphStoreView:
     """The store of a reported replay: live-tuple lookups backed by a
-    provenance graph."""
+    provenance graph.
+
+    The sorted per-table listing is built on the first table read; most
+    candidate replays are only asked whether one tuple is alive.
+    """
 
     base_only = False
 
     def __init__(self, graph: ProvenanceGraph):
         self.graph = graph
-        self._by_table = {}
-        for tup in graph.live_tuples():
-            self._by_table.setdefault(tup.table, []).append(tup)
-        for tuples in self._by_table.values():
+
+    @functools.cached_property
+    def _by_table(self):
+        by_table = {}
+        for tup in self.graph.live_tuples():
+            by_table.setdefault(tup.table, []).append(tup)
+        for tuples in by_table.values():
             tuples.sort(key=sort_key)
+        return by_table
 
     def tuples(self, table: str) -> List[Tuple]:
         return list(self._by_table.get(table, ()))

@@ -5,9 +5,11 @@ recorder) is licensed by one claim: it changes cost, never results.
 These tests hold it against the oracle — the linear-scan reference
 evaluator with the eager recorder — across the paper's scenarios and
 assert identical table contents, identical provenance graphs
-vertex-for-vertex, identical trees, byte-identical diagnosis reports,
-and equal recorder metrics; and that the fast path really is compiled:
-no rule firing of a bundled scenario falls back to the interpreter.
+vertex-for-vertex, identical trees and equal recorder metrics; and
+that the fast path really is compiled: no rule firing of a bundled
+scenario falls back to the interpreter.  Byte-identical diagnosis
+reports across backends are the contract matrix's ``engine`` axis
+(tests/contract).
 """
 
 import pytest
@@ -117,19 +119,6 @@ class TestGraphEquivalence:
                 results["reference"].graph
             )
             assert results[backend].graph.pending
-
-
-class TestDiagnosisEquivalence:
-    @pytest.mark.parametrize("name", ["SDN1", "SDN3", "DNS", "FLAP"])
-    def test_reports_byte_identical_across_backends(self, name):
-        reports = {
-            backend: _scenario(name, engine=backend)
-            .diagnose()
-            .canonical_json()
-            for backend in MATRIX
-        }
-        for backend in FAST:
-            assert reports[backend] == reports["reference"], backend
 
 
 class TestRecorderMetricsEquivalence:

@@ -1,13 +1,14 @@
-"""Integration test: the Section 6.7 complex-network scenario."""
+"""Integration test: the Section 6.7 complex-network scenario.
+
+Its canonical reports, across backends and repeated calls, are rows of
+the contract matrix (tests/contract, "Stanford-SMALL")."""
 
 import gc
 
 import pytest
 
 from repro.addresses import Prefix
-from repro.api import Session
 from repro.core.diffprov import _DiagnosisState
-from repro.datalog import BACKENDS
 from repro.scenarios import stanford
 from repro.scenarios.stanford import (
     StanfordForwardingError,
@@ -18,7 +19,8 @@ from repro.scenarios.stanford import (
 from repro.sdn.emulation import _ConfigStoreView
 from repro.sdn.flowtable import FlowTable
 
-SMALL = dict(background_packets=60, entries_per_router=120, acl_rules=48)
+from ..contract.registry import STANFORD_SMALL as SMALL
+
 # The SMALL build's event log.  Its order (``order_key``, one flat
 # string that must sort exactly as the nested ``(type name, str)``
 # pairs it replaced) and its size model (``estimate_size``,
@@ -241,43 +243,3 @@ class TestCandidateSearchCost:
         assert reference.diagnose().success
         assert answers and set(answers) == {None}
         assert len(evaluated) >= len(reference.config.tables["oz2"])
-
-
-@pytest.mark.parametrize("operation", ["diagnose", "repair"])
-def test_backends_agree_on_the_canonical_report(operation):
-    reports = set()
-    for backend in BACKENDS:
-        built = StanfordForwardingError(**SMALL).setup()
-        with Session(
-            program=built.program,
-            good=built.good_execution,
-            bad=built.bad_execution,
-            good_event=built.good_event,
-            bad_event=built.bad_event,
-            good_time=built.good_time,
-            bad_time=built.bad_time,
-            minimize=True,
-            engine=backend,
-        ) as session:
-            reports.add(getattr(session, operation)().canonical_json())
-    assert len(reports) == 1
-
-
-def test_second_repair_of_one_session_is_identical(scenario):
-    # The emulator never enters the NDlog replayer: a repeat repair()
-    # re-verifies its plans against the same packet schedule and must
-    # reproduce the first report byte for byte.
-    with Session(
-        program=scenario.program,
-        good=scenario.good_execution,
-        bad=scenario.bad_execution,
-        good_event=scenario.good_event,
-        bad_event=scenario.bad_event,
-        good_time=scenario.good_time,
-        bad_time=scenario.bad_time,
-        minimize=True,
-    ) as session:
-        first = session.repair()
-        second = session.repair()
-    assert first.repair["plans"]
-    assert second.canonical_json() == first.canonical_json()

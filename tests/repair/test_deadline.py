@@ -6,8 +6,6 @@ diagnosis conclusion stands, ``report.repair`` says why it is empty,
 and the resilience section pins the expiry to the repair phase.
 """
 
-import pytest
-
 from repro.api import Session
 from repro.errors import DeadlineExceeded
 from repro.resilience import Deadline

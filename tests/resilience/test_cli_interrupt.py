@@ -11,12 +11,11 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
-import pytest
-
 from repro.cli import EXIT_INTERRUPTED, EXIT_TERMINATED
+
+from ..crash import wait_journaled
 
 _SRC = str(Path(__file__).parents[2] / "src")
 
@@ -38,17 +37,8 @@ def _spawn_held_diagnose(journal):
     )
 
 
-def _await_minimize_hold(proc, journal, timeout=90):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if os.path.exists(journal) and '"name":"minimize"' in open(
-            journal, encoding="utf-8", errors="replace"
-        ).read():
-            return
-        if proc.poll() is not None:
-            pytest.fail(f"CLI exited early: {proc.communicate()}")
-        time.sleep(0.05)
-    pytest.fail("diagnosis never reached the minimize hold")
+def _await_minimize_hold(proc, journal):
+    wait_journaled(proc, journal, '"name":"minimize"')
 
 
 def test_sigint_flushes_journal_and_exits_130(tmp_path):

@@ -9,79 +9,15 @@ byte-identical to an uninterrupted diagnosis — for the clean scenario
 journal still resumes safely).
 """
 
-import json
-import os
-import signal
-import subprocess
-import sys
-import time
-from pathlib import Path
-
 import pytest
 
 from repro.api import Session
 
-_CHILD = str(Path(__file__).with_name("_diagnose_child.py"))
-_SRC = str(Path(__file__).parents[2] / "src")
+from ..crash import kill_when_journaled, run_child
 
 
-def _child_env(**holds):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.update({key: str(value) for key, value in holds.items()})
-    return env
-
-
-def _child_argv(scenario, journal, out, engine=None):
-    argv = [sys.executable, _CHILD, scenario, journal, out]
-    if engine is not None:
-        argv.append(engine)
-    return argv
-
-
-def _run_child(scenario, journal, out, env, timeout=120, engine=None):
-    return subprocess.run(
-        _child_argv(scenario, journal, out, engine),
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-
-
-def _kill_once_held(scenario, journal, out, holds, sentinel, engine=None):
-    """Start a held child, SIGKILL it once ``sentinel`` is journaled."""
-    proc = subprocess.Popen(
-        _child_argv(scenario, journal, out, engine),
-        env=_child_env(REPRO_TEST_HOLD_S="60", **holds),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    try:
-        deadline = time.monotonic() + 90
-        while time.monotonic() < deadline:
-            if os.path.exists(journal) and sentinel in open(
-                journal, encoding="utf-8", errors="replace"
-            ).read():
-                break
-            if proc.poll() is not None:
-                pytest.fail(
-                    f"child exited (rc={proc.returncode}) before the "
-                    f"hold point {sentinel!r} was journaled"
-                )
-            time.sleep(0.05)
-        else:
-            pytest.fail(f"hold point {sentinel!r} never reached")
-        # The hold guarantees the process is parked inside the append
-        # *after* the sentinel entry was fsync'd: SIGKILL lands at a
-        # deterministic point of the search.
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
-    finally:
-        if proc.poll() is None:  # pragma: no cover - cleanup
-            proc.kill()
-            proc.wait(timeout=30)
-    assert not os.path.exists(out), "killed child must not have finished"
+def _call(scenario, **knobs):
+    return {"scenario": scenario, "knobs": {"minimize": True, **knobs}}
 
 
 @pytest.mark.parametrize(
@@ -104,11 +40,9 @@ def test_sigkill_then_resume_is_byte_identical(
 
     baseline = Session(scenario=scenario, minimize=True).diagnose()
 
-    _kill_once_held(scenario, journal, out, holds, sentinel)
+    kill_when_journaled(journal, out, _call(scenario), sentinel, **holds)
 
-    resumed = _run_child(scenario, journal, out, _child_env())
-    assert resumed.returncode == 0, resumed.stderr
-    payload = json.loads(open(out, encoding="utf-8").read())
+    payload = run_child(journal, out, _call(scenario))
     assert payload["canonical"] == baseline.canonical_json()
     section = payload["resilience"]["journal"]
     assert section["resumed"] is True
@@ -117,8 +51,9 @@ def test_sigkill_then_resume_is_byte_identical(
 
 
 def test_sigkill_then_resume_compiled_backend(tmp_path):
-    """Crash-resume with backend="compiled" is byte-identical — to an
-    uninterrupted compiled run *and* to the reference evaluator.  The
+    """Crash-resume with backend="compiled" is byte-identical to an
+    uninterrupted compiled run (which answers what the reference
+    evaluator does: the contract matrix's ``engine`` axis).  The
     resumed worker unpickles journal/cache state whose ColumnarStore
     dropped its caches and compiled closures on pickling; both must
     rebuild transparently mid-search."""
@@ -128,21 +63,12 @@ def test_sigkill_then_resume_compiled_backend(tmp_path):
     baseline = Session(
         scenario="SDN1", minimize=True, engine="compiled"
     ).diagnose()
-    reference = Session(
-        scenario="SDN1", minimize=True, engine="reference"
-    ).diagnose()
-    assert baseline.canonical_json() == reference.canonical_json()
 
-    _kill_once_held(
-        "SDN1", journal, out,
-        {"REPRO_TEST_HOLD_AFTER_VERDICTS": "1"},
-        '"type":"verdict"',
-        engine="compiled",
-    )
+    compiled = _call("SDN1", engine="compiled")
+    kill_when_journaled(journal, out, compiled, '"type":"verdict"',
+                        REPRO_TEST_HOLD_AFTER_VERDICTS=1)
 
-    resumed = _run_child("SDN1", journal, out, _child_env(), engine="compiled")
-    assert resumed.returncode == 0, resumed.stderr
-    payload = json.loads(open(out, encoding="utf-8").read())
+    payload = run_child(journal, out, compiled)
     assert payload["canonical"] == baseline.canonical_json()
     section = payload["resilience"]["journal"]
     assert section["resumed"] is True
@@ -153,8 +79,6 @@ def test_uninterrupted_journaled_run_matches_baseline(tmp_path):
     journal = str(tmp_path / "diag.journal")
     out = str(tmp_path / "report.json")
     baseline = Session(scenario="SDN1", minimize=True).diagnose()
-    result = _run_child("SDN1", journal, out, _child_env())
-    assert result.returncode == 0, result.stderr
-    payload = json.loads(open(out, encoding="utf-8").read())
+    payload = run_child(journal, out, _call("SDN1"))
     assert payload["canonical"] == baseline.canonical_json()
     assert payload["resilience"]["journal"]["resumed"] is False

@@ -7,33 +7,17 @@ full sequence must be byte-identical to an uninterrupted run.
 """
 
 import json
-import os
-import signal
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import pytest
 
 from repro.api import Session
 
-_CHILD = str(Path(__file__).with_name("_monitor_child.py"))
-_SRC = str(Path(__file__).parents[2] / "src")
+from ..crash import kill_when_journaled, run_child
 
 FLAPS = 12
 HOLD_AFTER = 3
-
-
-def _child_env(**holds):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.update({key: str(value) for key, value in holds.items()})
-    return env
-
-
-def _child_argv(journal, out):
-    return [sys.executable, _CHILD, "FLAP-S", journal, out, str(FLAPS)]
+MONITOR = {"scenario": "FLAP-S", "op": "monitor",
+           "knobs": {"scenario_params": {"flaps": FLAPS}}}
 
 
 def _canon(records):
@@ -47,45 +31,10 @@ def baseline():
 
 
 def _kill_once_held(journal, out):
-    """SIGKILL the child once HOLD_AFTER records are durably journaled."""
-    proc = subprocess.Popen(
-        _child_argv(journal, out),
-        env=_child_env(
-            REPRO_TEST_HOLD_S="60",
-            REPRO_TEST_HOLD_AFTER_VERDICTS=HOLD_AFTER,
-        ),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    try:
-        deadline = time.monotonic() + 90
-        while time.monotonic() < deadline:
-            # Count record entries only — the start entry's fingerprint
-            # also says "kind":"monitor", so match on the entry type.
-            journaled = 0
-            if os.path.exists(journal):
-                journaled = open(
-                    journal, encoding="utf-8", errors="replace"
-                ).read().count('"type":"verdict"')
-            if journaled >= HOLD_AFTER:
-                break
-            if proc.poll() is not None:
-                pytest.fail(
-                    f"child exited (rc={proc.returncode}) before "
-                    f"{HOLD_AFTER} records were journaled"
-                )
-            time.sleep(0.05)
-        else:
-            pytest.fail("hold point never reached")
-        # The hold parks the process right after the Nth record was
-        # fsync'd: SIGKILL lands at a deterministic point of the run.
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
-    finally:
-        if proc.poll() is None:  # pragma: no cover - cleanup
-            proc.kill()
-            proc.wait(timeout=30)
-    assert not os.path.exists(out), "killed child must not have finished"
+    # Count record entries only: the start entry's fingerprint also
+    # says "kind":"monitor".
+    kill_when_journaled(journal, out, MONITOR, '"type":"verdict"', HOLD_AFTER,
+                        REPRO_TEST_HOLD_AFTER_VERDICTS=HOLD_AFTER)
 
 
 def test_sigkill_then_resume_re_emits_identical_records(tmp_path, baseline):
@@ -94,15 +43,7 @@ def test_sigkill_then_resume_re_emits_identical_records(tmp_path, baseline):
 
     _kill_once_held(journal, out)
 
-    resumed = subprocess.run(
-        _child_argv(journal, out),
-        env=_child_env(),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert resumed.returncode == 0, resumed.stderr
-    payload = json.loads(open(out, encoding="utf-8").read())
+    payload = run_child(journal, out, MONITOR)
     assert _canon(payload["records"]) == _canon(baseline)
     # The already-diagnosed records came from the journal, not replays.
     assert payload["summary"]["resumed_records"] == HOLD_AFTER
@@ -112,15 +53,7 @@ def test_sigkill_then_resume_re_emits_identical_records(tmp_path, baseline):
 def test_uninterrupted_journaled_run_matches_baseline(tmp_path, baseline):
     journal = str(tmp_path / "monitor.journal")
     out = str(tmp_path / "records.json")
-    result = subprocess.run(
-        _child_argv(journal, out),
-        env=_child_env(),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    payload = json.loads(open(out, encoding="utf-8").read())
+    payload = run_child(journal, out, MONITOR)
     assert _canon(payload["records"]) == _canon(baseline)
     assert payload["summary"]["resumed_records"] == 0
 
